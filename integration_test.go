@@ -159,84 +159,3 @@ func TestPlatformLifecycle(t *testing.T) {
 		t.Errorf("an hour of sleep cost %.3f J; duty-cycling broken", sleepHour)
 	}
 }
-
-func TestPlatformLifecycleOTAA(t *testing.T) {
-	// The OTAA join flow between a device and a network server, carried
-	// over the sample-level PHY in both directions.
-	dev := New(Config{ID: 5})
-	gw := New(Config{ID: 6})
-	p := DefaultLoRaParams()
-	if err := dev.ConfigureLoRa(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.ConfigureLoRa(p); err != nil {
-		t.Fatal(err)
-	}
-	ch := NewChannel(9, LoRaNoiseFloorDBm(p))
-
-	id := lorawan.DeviceIdentity{AppEUI: lorawan.EUI{1}, DevEUI: lorawan.EUI{2}}
-	for i := range id.AppKey {
-		id.AppKey[i] = byte(i * 3)
-	}
-
-	// Device -> network: join request over the air.
-	req := &lorawan.JoinRequest{AppEUI: id.AppEUI, DevEUI: id.DevEUI, DevNonce: 0x1234}
-	air, err := dev.TransmitLoRa(req.Encode(id.AppKey), 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rxReq, err := gw.ReceiveLoRa(ch.Apply(air, -110))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotReq, err := lorawan.DecodeJoinRequest(id.AppKey, rxReq.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Network -> device: join accept over the air.
-	accept := &lorawan.JoinAccept{AppNonce: 0xABCDE, NetID: 0x13, DevAddr: 0x26017777, RXDelay: 1}
-	air2, err := gw.TransmitLoRa(accept.Encode(id.AppKey), 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rxAcc, err := dev.ReceiveLoRa(ch.Apply(air2, -110))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAcc, err := lorawan.DecodeJoinAccept(id.AppKey, rxAcc.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Both sides derive matching sessions and exchange a frame.
-	devSess := lorawan.DeriveSession(id.AppKey, gotAcc, req.DevNonce)
-	netSess := lorawan.DeriveSession(id.AppKey, accept, gotReq.DevNonce)
-	f := &LoRaWANFrame{MType: lorawan.MTypeUnconfirmedUp, DevAddr: devSess.DevAddr, FPort: 2, FRMPayload: []byte("joined!")}
-	phy, err := f.Encode(devSess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	air3, err := dev.TransmitLoRa(phy, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := gw.ReceiveLoRa(ch.Apply(air3, -115))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := lorawan.DecodeData(netSess, up.Payload, lorawan.Uplink, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec.FRMPayload, []byte("joined!")) {
-		t.Fatalf("payload %q", dec.FRMPayload)
-	}
-
-	// Class-A timing: the radio turnaround fits the RX1 window by orders
-	// of magnitude (Table 4 vs the 1 s LoRaWAN delay).
-	rx1, _ := lorawan.ReceiveWindows(dev.Clock.Now())
-	if rx1-dev.Clock.Now() != lorawan.RX1Delay {
-		t.Error("RX1 window arithmetic wrong")
-	}
-}

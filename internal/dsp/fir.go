@@ -14,17 +14,6 @@ type FIR struct {
 	taps []float64
 }
 
-// NewFIR returns a filter with the given taps. It panics on an empty tap
-// set, which would be a synthesis error on hardware.
-func NewFIR(taps []float64) *FIR {
-	if len(taps) == 0 {
-		panic("dsp: FIR requires at least one tap")
-	}
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return &FIR{taps: t}
-}
-
 // NewLowpass designs an n-tap windowed-sinc low-pass filter with the given
 // normalized cutoff (cycles/sample, 0 < cutoff < 0.5) using a Hamming window,
 // normalized to unity DC gain.
@@ -149,25 +138,6 @@ func (f *FIR) Response(freq float64) float64 {
 		im += tap * math.Sin(ang)
 	}
 	return iq.DB(re*re + im*im)
-}
-
-// Decimate low-pass filters x and keeps every factor-th sample. It models
-// the FPGA front-end that reduces the radio's 4 MHz stream to the protocol
-// bandwidth. factor must be >= 1.
-func Decimate(x iq.Samples, factor int) iq.Samples {
-	if factor < 1 {
-		panic("dsp: decimation factor must be >= 1")
-	}
-	if factor == 1 {
-		return x.Clone()
-	}
-	lp := NewLowpass(8*factor+1, 0.45/float64(factor))
-	filtered := lp.Filter(x)
-	out := make(iq.Samples, 0, len(x)/factor+1)
-	for i := 0; i < len(filtered); i += factor {
-		out = append(out, filtered[i])
-	}
-	return out
 }
 
 // NewGaussian designs the Gaussian pulse-shaping filter used by the BLE GFSK

@@ -29,7 +29,6 @@ func TestLowpassPanicsOnBadParams(t *testing.T) {
 		func() { NewLowpass(0, 0.1) },
 		func() { NewLowpass(15, 0) },
 		func() { NewLowpass(15, 0.5) },
-		func() { NewFIR(nil) },
 	} {
 		func() {
 			defer func() {
@@ -97,63 +96,12 @@ func TestFilterRealMatchesComplex(t *testing.T) {
 }
 
 func TestTapsCopySemantics(t *testing.T) {
-	orig := []float64{1, 2, 3}
-	f := NewFIR(orig)
-	orig[0] = 99
-	if f.Taps()[0] == 99 {
-		t.Error("NewFIR aliased caller slice")
-	}
+	f := NewLowpass(15, 0.1)
 	taps := f.Taps()
 	taps[1] = -1
 	if f.Taps()[1] == -1 {
 		t.Error("Taps() exposed internal state")
 	}
-}
-
-func TestDecimatePreservesInBandTone(t *testing.T) {
-	// A tone at 0.02 cycles/sample decimated by 4 should appear at 0.08.
-	n := 4096
-	x := make(iq.Samples, n)
-	for i := range x {
-		x[i] = cmplx.Exp(complex(0, 2*math.Pi*0.02*float64(i)))
-	}
-	y := Decimate(x, 4)
-	if len(y) < n/4 {
-		t.Fatalf("decimated length %d too short", len(y))
-	}
-	spec := y[64 : len(y)-64]
-	buf := make(iq.Samples, 512)
-	copy(buf, spec)
-	FFT(buf)
-	peak, _ := PeakBin(buf)
-	wantBin := int(math.Round(0.08 * 512))
-	if peak != wantBin {
-		t.Errorf("decimated tone at bin %d, want %d", peak, wantBin)
-	}
-}
-
-func TestDecimateFactorOne(t *testing.T) {
-	x := randomSamples(64, 3)
-	y := Decimate(x, 1)
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatal("factor-1 decimation must be identity")
-		}
-	}
-	// And it must be a copy, not an alias.
-	y[0] = 42
-	if x[0] == 42 {
-		t.Error("Decimate aliased its input")
-	}
-}
-
-func TestDecimatePanicsOnBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Decimate(make(iq.Samples, 8), 0)
 }
 
 func TestGaussianTaps(t *testing.T) {

@@ -21,11 +21,12 @@ import "math"
 const (
 	// DefaultEps is the Wilson half-width target when Adaptive.Eps is unset.
 	DefaultEps = 0.2
-	// DefaultChunk is the trials-per-chunk granularity when Adaptive.Chunk
-	// is unset. With the default epsilon and confidence, a saturated point
-	// stops after exactly one chunk.
+	// DefaultChunk is the number of trials run between stopping checks.
+	// With the default epsilon, a saturated point stops after exactly one
+	// chunk.
 	DefaultChunk = 8
-	// DefaultZ is the 95% normal quantile used when Adaptive.Z is unset.
+	// DefaultZ is the normal quantile of the stopping interval: 95%
+	// confidence.
 	DefaultZ = 1.96
 )
 
@@ -38,12 +39,6 @@ type Adaptive struct {
 	// Eps is the Wilson-interval half-width at which a point stops
 	// early; <= 0 selects DefaultEps.
 	Eps float64
-	// Chunk is the number of trials run between stopping checks; <= 0
-	// selects DefaultChunk.
-	Chunk int
-	// Z is the normal quantile of the interval's confidence level; <= 0
-	// selects DefaultZ (95%).
-	Z float64
 }
 
 func (a Adaptive) eps() float64 {
@@ -51,20 +46,6 @@ func (a Adaptive) eps() float64 {
 		return a.Eps
 	}
 	return DefaultEps
-}
-
-func (a Adaptive) chunk() int {
-	if a.Chunk > 0 {
-		return a.Chunk
-	}
-	return DefaultChunk
-}
-
-func (a Adaptive) z() float64 {
-	if a.Z > 0 {
-		return a.Z
-	}
-	return DefaultZ
 }
 
 // WilsonHalfWidth returns the half-width of the Wilson score interval for f
@@ -89,10 +70,9 @@ func (a Adaptive) MinTrials(budget int) int {
 	if !a.Enabled {
 		return budget
 	}
-	ch := a.chunk()
-	n := ch
-	for n < budget && WilsonHalfWidth(0, n, a.z()) > a.eps() {
-		n += ch
+	n := DefaultChunk
+	for n < budget && WilsonHalfWidth(0, n, DefaultZ) > a.eps() {
+		n += DefaultChunk
 	}
 	if n > budget {
 		n = budget
@@ -109,7 +89,7 @@ func (a Adaptive) MinTrials(budget int) int {
 func (a Adaptive) runRule(budget int, stop func(failures, n int) bool, fail func(k int) (bool, error)) (failures, n int, err error) {
 	ch := budget
 	if a.Enabled {
-		ch = a.chunk()
+		ch = DefaultChunk
 	}
 	for n < budget {
 		c := ch
@@ -138,9 +118,9 @@ func (a Adaptive) runRule(budget int, stop func(failures, n int) bool, fail func
 // whose headline metrics (50%-PER knees, curve shapes) live at the same
 // scale as eps.
 func (a Adaptive) run(budget int, fail func(k int) (bool, error)) (failures, n int, err error) {
-	eps, z := a.eps(), a.z()
+	eps := a.eps()
 	return a.runRule(budget, func(f, n int) bool {
-		return WilsonHalfWidth(f, n, z) <= eps
+		return WilsonHalfWidth(f, n, DefaultZ) <= eps
 	}, fail)
 }
 
@@ -154,7 +134,7 @@ func (a Adaptive) run(budget int, fail func(k int) (bool, error)) (failures, n i
 // chunks. The plain eps rule would happily stop a low-rate point at an
 // estimate of 0 long before it could resolve rates at thr's scale.
 func (a Adaptive) runThreshold(budget int, thr float64, fail func(k int) (bool, error)) (failures, n int, err error) {
-	z := a.z()
+	z := DefaultZ
 	return a.runRule(budget, func(f, n int) bool {
 		nf := float64(n)
 		z2 := z * z

@@ -44,8 +44,8 @@ func TestAdaptiveSaturatedStopsAtMinTrials(t *testing.T) {
 	if want >= budget {
 		t.Fatalf("MinTrials(%d) = %d: defaults give saturated points no early stop", budget, want)
 	}
-	if want%ad.chunk() != 0 {
-		t.Fatalf("MinTrials %d is not whole chunks of %d", want, ad.chunk())
+	if want%DefaultChunk != 0 {
+		t.Fatalf("MinTrials %d is not whole chunks of %d", want, DefaultChunk)
 	}
 
 	for name, outcome := range map[string]bool{"all-pass": false, "all-fail": true} {

@@ -157,8 +157,10 @@ func Fig15b(cfg Config) (*Result, error) {
 	}
 	weak := lora.SensitivityDBm(8, 125e3, radio.NoiseFigureDB) + 3 // near concurrent sensitivity
 	x := sweep(-130, -104, 3)
+	// One seed for every point: all points share symbols and noise, so the
+	// interferer power is the only thing the sweep varies.
 	sers, err := forTrials(cfg.Workers, len(x), func(i int) (float64, error) {
-		ser1, _, err := concurrentSER(symbols, weak, x[i], cfg.Seed+int64(x[i]*10))
+		ser1, _, err := concurrentSER(symbols, weak, x[i], cfg.Seed)
 		return ser1, err
 	})
 	if err != nil {

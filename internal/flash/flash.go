@@ -204,9 +204,3 @@ func ProgramTime(n int) time.Duration {
 func QuadReadTime(n int) time.Duration {
 	return time.Duration(float64(n*8) / quadReadRate * float64(time.Second))
 }
-
-// EraseTime returns how long erasing the sectors covering n bytes takes.
-func EraseTime(n int) time.Duration {
-	sectors := (n + SectorSize - 1) / SectorSize
-	return time.Duration(sectors) * eraseTimePerSector
-}

@@ -180,15 +180,6 @@ func TestProgramTimeScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestEraseTimeSectorGranular(t *testing.T) {
-	if EraseTime(1) != EraseTime(SectorSize) {
-		t.Error("sub-sector erase must cost one sector")
-	}
-	if EraseTime(SectorSize+1) != 2*EraseTime(SectorSize) {
-		t.Error("erase must round up to sectors")
-	}
-}
-
 func TestSDCard(t *testing.T) {
 	c := NewSDCard(1024)
 	if err := c.Append(1000); err != nil {

@@ -51,6 +51,11 @@ const MaxCampaigns = 1000
 // JournalName is the campaign journal's file name inside a state dir.
 const JournalName = "campaigns.journal"
 
+// maxSpecBytes caps a POST /campaigns body. A full Spec plus id is about
+// 200 bytes of JSON, so the cap leaves ample headroom while an oversized
+// or endless body is refused instead of buffered.
+const maxSpecBytes = 64 << 10
+
 // Sentinel errors of the campaign API.
 var (
 	// ErrDraining rejects creation on a server that is shutting down.
@@ -549,7 +554,7 @@ func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 //	POST   /campaigns        create a campaign from a Spec body; an
 //	                         optional "id" field is the idempotency key
 //	                         (201 created, 200 existing, 409 spec conflict,
-//	                         503 draining)
+//	                         413 body over 64 KiB, 503 draining)
 //	GET    /campaigns        list campaign summaries
 //	GET    /campaigns/{id}   one campaign's status and summary
 //	GET    /campaigns/{id}/nodes  the per-node results (once done)
@@ -561,7 +566,13 @@ func (s *Server) Handler() http.Handler {
 			ID string `json:"id"`
 			Spec
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				httpjson.Error(w, http.StatusRequestEntityTooLarge,
+					fmt.Errorf("fleet: spec body over %d bytes", tooLarge.Limit))
+				return
+			}
 			httpjson.Error(w, http.StatusBadRequest, fmt.Errorf("fleet: bad spec: %w", err))
 			return
 		}

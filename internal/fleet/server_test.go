@@ -139,6 +139,29 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPCreateRejectsOversizedBody pins the fail-closed create path: a
+// body past the cap is refused with 413 before it is buffered, and no
+// campaign comes of it.
+func TestHTTPCreateRejectsOversizedBody(t *testing.T) {
+	srv := NewServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec, _ := json.Marshal(Spec{Seed: 1, Nodes: 20, ImageKB: 8})
+	body := append(bytes.Repeat([]byte(" "), maxSpecBytes), spec...)
+	resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(srv.List()); n != 0 {
+		t.Errorf("oversized body created %d campaigns", n)
+	}
+}
+
 func TestHTTPList(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())

@@ -1,7 +1,6 @@
 // Package fpga models the Lattice LFE5U-25F on tinySDR: its LUT and
 // block-RAM budgets, SRAM-based configuration from external flash over quad
-// SPI (the 22 ms boot of Table 4), per-design power draw, and the embedded
-// FIFO the sample pipeline uses.
+// SPI (the 22 ms boot of Table 4), and per-design power draw.
 //
 // The package also contains the module library whose LUT costs reproduce
 // Table 6 (FPGA utilization for the LoRa modem at each spreading factor),
@@ -155,10 +154,4 @@ func (f *FPGA) PowerOff() {
 	f.state = StateOff
 	f.design = nil
 	f.sink.SetPower("fpga", 0)
-}
-
-// PowerW returns the draw of a configured device running design d; it is
-// exposed for the evaluation harness's power breakdowns.
-func PowerW(d *Design) float64 {
-	return staticPowerW + float64(d.LUTs())*dynamicPowerPerLUT
 }

@@ -144,75 +144,6 @@ func TestPowerScalesWithUtilization(t *testing.T) {
 	}
 }
 
-func TestFIFO(t *testing.T) {
-	f, err := NewFIFO(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Cap() != 16 {
-		t.Fatalf("cap = %d samples, want 16", f.Cap())
-	}
-	for i := 0; i < 16; i++ {
-		if !f.Push(complex(float64(i), 0)) {
-			t.Fatalf("push %d failed", i)
-		}
-	}
-	if f.Push(99) {
-		t.Error("overflow push succeeded")
-	}
-	if f.Len() != 16 {
-		t.Errorf("len = %d", f.Len())
-	}
-	for i := 0; i < 16; i++ {
-		s, ok := f.Pop()
-		if !ok || real(s) != float64(i) {
-			t.Fatalf("pop %d = %v, %v", i, s, ok)
-		}
-	}
-	if _, ok := f.Pop(); ok {
-		t.Error("pop from empty succeeded")
-	}
-}
-
-func TestFIFOWrapAround(t *testing.T) {
-	f, _ := NewFIFO(16) // 4 samples
-	for round := 0; round < 10; round++ {
-		f.Push(complex(float64(round), 0))
-		s, ok := f.Pop()
-		if !ok || real(s) != float64(round) {
-			t.Fatalf("round %d: %v %v", round, s, ok)
-		}
-	}
-}
-
-func TestFIFOPushAllPopAll(t *testing.T) {
-	f, _ := NewFIFO(16)
-	n := f.PushAll(make([]complex128, 10))
-	if n != 4 {
-		t.Errorf("PushAll accepted %d, want 4", n)
-	}
-	if got := f.PopAll(); len(got) != 4 {
-		t.Errorf("PopAll returned %d", len(got))
-	}
-}
-
-func TestFIFOBudget(t *testing.T) {
-	if _, err := NewFIFO(TotalBRAMBytes + 1); err == nil {
-		t.Error("FIFO beyond embedded RAM accepted")
-	}
-	if _, err := NewFIFO(0); err == nil {
-		t.Error("zero FIFO accepted")
-	}
-	// The paper's 126 kB maximum buffer must be constructible.
-	f, err := NewFIFO(TotalBRAMBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Cap() != TotalBRAMBytes/4 {
-		t.Errorf("max FIFO = %d samples", f.Cap())
-	}
-}
-
 func TestStateString(t *testing.T) {
 	if StateRunning.String() != "running" || StateOff.String() != "off" || StateConfiguring.String() != "configuring" {
 		t.Error("state names wrong")

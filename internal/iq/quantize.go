@@ -33,7 +33,7 @@ func quantizeReal(v, step, fullScale float64) float64 {
 
 // QuantizeCode converts a component value to its signed integer code for the
 // given bit width, clipping to the representable range. It is the integer
-// form used when framing samples into LVDS I/Q words.
+// form the int16 capture codec (EncodeInt16) stores.
 func QuantizeCode(v float64, bits int, fullScale float64) int32 {
 	levels := float64(int64(1) << (bits - 1))
 	code := math.Round(v / fullScale * levels)

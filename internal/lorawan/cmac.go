@@ -1,8 +1,7 @@
 // Package lorawan implements the LoRa MAC layer tinySDR runs on its MCU
 // (§4.1): LoRaWAN 1.0 frame encoding with AES-128 payload encryption and
-// AES-CMAC message integrity, plus both The Things Network activation
-// methods — over-the-air activation (OTAA) with the join procedure, and
-// activation by personalization (ABP).
+// AES-CMAC message integrity, over sessions provisioned by activation by
+// personalization (ABP).
 package lorawan
 
 import (

@@ -51,6 +51,14 @@ type Session struct {
 	FCntDown uint32
 }
 
+// NewABPSession returns a session activated by personalization (ABP, one
+// of the two The Things Network activation methods of §4.1): keys and
+// address are hard-coded at provisioning and the join procedure of
+// over-the-air activation is skipped.
+func NewABPSession(addr DevAddr, nwkSKey, appSKey [16]byte) *Session {
+	return &Session{DevAddr: addr, NwkSKey: nwkSKey, AppSKey: appSKey}
+}
+
 // DataFrame is a LoRaWAN data message before encoding.
 type DataFrame struct {
 	MType      MType

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func mustHex(t *testing.T, s string) []byte {
@@ -200,82 +199,6 @@ func TestEncodeRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestOTAAJoinFlow(t *testing.T) {
-	id := DeviceIdentity{
-		AppEUI: EUI{1, 2, 3, 4, 5, 6, 7, 8},
-		DevEUI: EUI{8, 7, 6, 5, 4, 3, 2, 1},
-	}
-	for i := range id.AppKey {
-		id.AppKey[i] = byte(i * 7)
-	}
-	// Device sends join-request.
-	req := &JoinRequest{AppEUI: id.AppEUI, DevEUI: id.DevEUI, DevNonce: 0xBEEF}
-	phy := req.Encode(id.AppKey)
-
-	// Network validates it.
-	got, err := DecodeJoinRequest(id.AppKey, phy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.AppEUI != id.AppEUI || got.DevEUI != id.DevEUI || got.DevNonce != 0xBEEF {
-		t.Fatalf("join-request fields: %+v", got)
-	}
-
-	// Network answers with join-accept.
-	accept := &JoinAccept{AppNonce: 0x123456, NetID: 0x000013, DevAddr: 0x26012345, RXDelay: 1}
-	acceptPhy := accept.Encode(id.AppKey)
-
-	// Device decrypts and verifies.
-	gotAccept, err := DecodeJoinAccept(id.AppKey, acceptPhy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotAccept.DevAddr != accept.DevAddr || gotAccept.AppNonce != accept.AppNonce {
-		t.Fatalf("join-accept fields: %+v", gotAccept)
-	}
-
-	// Both sides derive the same session.
-	devSess := DeriveSession(id.AppKey, gotAccept, req.DevNonce)
-	netSess := DeriveSession(id.AppKey, accept, got.DevNonce)
-	if devSess.NwkSKey != netSess.NwkSKey || devSess.AppSKey != netSess.AppSKey {
-		t.Fatal("session keys disagree")
-	}
-	if devSess.NwkSKey == devSess.AppSKey {
-		t.Fatal("NwkSKey must differ from AppSKey")
-	}
-
-	// And a data frame flows between them.
-	f := &DataFrame{MType: MTypeUnconfirmedUp, DevAddr: devSess.DevAddr, FCnt: 0, FPort: 1, FRMPayload: []byte("joined")}
-	data, err := f.Encode(devSess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeData(netSess, data, Uplink, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJoinRequestTamperRejected(t *testing.T) {
-	var key [16]byte
-	key[3] = 9
-	req := &JoinRequest{DevNonce: 1}
-	phy := req.Encode(key)
-	phy[2] ^= 1
-	if _, err := DecodeJoinRequest(key, phy); err == nil {
-		t.Error("tampered join-request accepted")
-	}
-}
-
-func TestJoinAcceptWrongKeyRejected(t *testing.T) {
-	var k1, k2 [16]byte
-	k2[0] = 1
-	accept := &JoinAccept{AppNonce: 5, NetID: 6, DevAddr: 7}
-	phy := accept.Encode(k1)
-	if _, err := DecodeJoinAccept(k2, phy); err == nil {
-		t.Error("wrong AppKey accepted")
-	}
-}
-
 func TestABPSessionSkipsJoin(t *testing.T) {
 	var nwk, app [16]byte
 	nwk[0], app[0] = 1, 2
@@ -290,13 +213,6 @@ func TestABPSessionSkipsJoin(t *testing.T) {
 	}
 	if _, err := DecodeData(s, phy, Uplink, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReceiveWindows(t *testing.T) {
-	rx1, rx2 := ReceiveWindows(10 * time.Second)
-	if rx1 != 11*time.Second || rx2 != 12*time.Second {
-		t.Errorf("windows = %v, %v", rx1, rx2)
 	}
 }
 

@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/uwsdr/tinysdr/internal/iq"
@@ -13,17 +12,15 @@ import (
 // samples as an unbounded stream and must consume it in fixed-size
 // chunks. Stream is that contract, generalizing the incremental paths
 // that already exist per protocol (dsp.Discriminator.ExtendInto, BLE's
-// StreamBits) and the packet-indexed replay Source: a consumer pulls
-// chunks, never the whole capture, so its working set is the chunk, not
-// the record.
+// StreamBits): a consumer pulls chunks, never the whole capture, so its
+// working set is the chunk, not the record.
 
 // Stream delivers a contiguous IQ sample stream in caller-sized chunks.
 //
 // Streams own scratch and are single-goroutine, like the Sources and
 // Modems they feed; concurrent consumers each bind their own Stream.
 type Stream interface {
-	// Name identifies the stream, e.g. "source:trace:lora" or
-	// "sense:node42".
+	// Name identifies the stream, e.g. "sense:node42".
 	Name() string
 	// SampleRate is the stream's baseband rate in Hz.
 	SampleRate() float64
@@ -60,49 +57,4 @@ func (s *samplesStream) ReadChunk(dst iq.Samples) (int, error) {
 	n := copy(dst, s.rem)
 	s.rem = s.rem[n:]
 	return n, nil
-}
-
-// sourceStream concatenates a Source's packets into one Stream.
-type sourceStream struct {
-	src Source
-	pkt iq.Samples // current packet's unread tail
-	k   int        // next packet index to read
-}
-
-// StreamSource returns a Stream serving a Source's packets back to back —
-// the replay seam rebased to the streaming contract, so a stored trace
-// (or any later packet device) can drive a chunked consumer such as a
-// spectrum sensor without materializing the whole capture.
-func StreamSource(src Source) (Stream, error) {
-	if src == nil {
-		return nil, fmt.Errorf("phy: stream needs a source")
-	}
-	return &sourceStream{src: src}, nil
-}
-
-func (s *sourceStream) Name() string        { return "source:" + s.src.Name() }
-func (s *sourceStream) SampleRate() float64 { return s.src.SampleRate() }
-
-func (s *sourceStream) ReadChunk(dst iq.Samples) (int, error) {
-	filled := 0
-	for filled < len(dst) {
-		if len(s.pkt) == 0 {
-			if s.k >= s.src.Packets() {
-				break
-			}
-			pkt, err := s.src.ReadPacket(s.k)
-			if err != nil {
-				return 0, fmt.Errorf("%w: stream packet %d: %w", errDevice, s.k, err)
-			}
-			s.k++
-			s.pkt = pkt
-		}
-		n := copy(dst[filled:], s.pkt)
-		s.pkt = s.pkt[n:]
-		filled += n
-	}
-	if filled == 0 {
-		return 0, io.EOF
-	}
-	return filled, nil
 }

@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -9,45 +8,14 @@ import (
 	"github.com/uwsdr/tinysdr/internal/iq"
 )
 
-// fakeSource serves fixed packets through the Source contract, reusing
-// one scratch buffer between calls like the trace source does.
-type fakeSource struct {
-	pkts    []iq.Samples
-	scratch iq.Samples
-	failAt  int // packet index that errors, -1 for none
-}
-
-func (f *fakeSource) Name() string        { return "fake" }
-func (f *fakeSource) SampleRate() float64 { return 4e6 }
-func (f *fakeSource) Packets() int        { return len(f.pkts) }
-
-func (f *fakeSource) ReadPacket(k int) (iq.Samples, error) {
-	if k == f.failAt {
-		return nil, errors.New("disk on fire")
-	}
-	f.scratch = append(f.scratch[:0], f.pkts[k]...)
-	return f.scratch, nil
-}
-
-func makePackets(seed int64, sizes ...int) []iq.Samples {
+// randomSamples returns n Gaussian IQ samples drawn from seed.
+func randomSamples(seed int64, n int) iq.Samples {
 	rng := rand.New(rand.NewSource(seed))
-	var pkts []iq.Samples
-	for _, n := range sizes {
-		p := make(iq.Samples, n)
-		for i := range p {
-			p[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		pkts = append(pkts, p)
+	x := make(iq.Samples, n)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	return pkts
-}
-
-func concat(pkts []iq.Samples) iq.Samples {
-	var all iq.Samples
-	for _, p := range pkts {
-		all = append(all, p...)
-	}
-	return all
+	return x
 }
 
 // drain reads the stream to EOF with the given chunk size, checking the
@@ -78,49 +46,8 @@ func drain(t *testing.T, s Stream, chunk int) iq.Samples {
 	}
 }
 
-func TestStreamSourceConcatenatesPackets(t *testing.T) {
-	pkts := makePackets(1, 37, 64, 5, 128)
-	want := concat(pkts)
-	for _, chunk := range []int{1, 7, 64, 300} {
-		s, err := StreamSource(&fakeSource{pkts: makePackets(1, 37, 64, 5, 128), failAt: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := drain(t, s, chunk)
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d samples, want %d", chunk, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: sample %d differs", chunk, i)
-			}
-		}
-		if s.SampleRate() != 4e6 || s.Name() != "source:fake" {
-			t.Fatalf("identity: %s @ %g", s.Name(), s.SampleRate())
-		}
-	}
-}
-
-func TestStreamSourcePropagatesDeviceError(t *testing.T) {
-	s, err := StreamSource(&fakeSource{pkts: makePackets(2, 16, 16, 16), failAt: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make(iq.Samples, 16)
-	if _, err := s.ReadChunk(buf); err != nil {
-		t.Fatalf("first packet: %v", err)
-	}
-	_, err = s.ReadChunk(buf)
-	if err == nil || !errors.Is(err, errDevice) {
-		t.Fatalf("want a device error, got %v", err)
-	}
-	if _, err := StreamSource(nil); err == nil {
-		t.Fatal("nil source accepted")
-	}
-}
-
 func TestStreamSamples(t *testing.T) {
-	x := concat(makePackets(3, 100))
+	x := randomSamples(3, 100)
 	s := StreamSamples("synth", 1e6, x)
 	got := drain(t, s, 33)
 	for i := range x {
@@ -133,15 +60,5 @@ func TestStreamSamples(t *testing.T) {
 	}
 	if s.Name() != "synth" || s.SampleRate() != 1e6 {
 		t.Fatalf("identity: %s @ %g", s.Name(), s.SampleRate())
-	}
-}
-
-func TestStreamSourceEmpty(t *testing.T) {
-	s, err := StreamSource(&fakeSource{failAt: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.ReadChunk(make(iq.Samples, 8)); n != 0 || err != io.EOF {
-		t.Fatalf("empty source read: %d, %v", n, err)
 	}
 }

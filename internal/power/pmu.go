@@ -175,17 +175,3 @@ func (p *PMU) refresh() {
 	overhead += load * converterLoss
 	p.ledger.SetPower("regulators", overhead)
 }
-
-// SleepFloorW returns the theoretical deep-sleep draw of the regulators and
-// board alone (no component draw): the budget the MCU's LPM3 current adds to.
-func SleepFloorW() float64 {
-	var overhead float64
-	for _, info := range Domains() {
-		if info.Domain == V1 {
-			overhead += info.QuiescentA * BatteryVoltage
-		} else {
-			overhead += info.ShutdownA * BatteryVoltage
-		}
-	}
-	return overhead + boardLeakageW
-}

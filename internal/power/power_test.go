@@ -171,9 +171,12 @@ func TestPMUConversionOverheadTracksLoad(t *testing.T) {
 }
 
 func TestSleepFloorBelowPaperBudget(t *testing.T) {
-	// The regulator+board floor must leave room for the MCU LPM3 draw
-	// within the paper's measured 30 µW system sleep power.
-	floor := SleepFloorW()
+	// The regulator+board floor of a sleeping PMU with no component load
+	// must leave room for the MCU LPM3 draw within the paper's measured
+	// 30 µW system sleep power.
+	p := NewPMU(sim.NewClock())
+	p.Sleep()
+	floor := p.Ledger().TotalPower()
 	if floor >= 30e-6 {
 		t.Errorf("sleep floor %v W leaves no budget for the MCU", floor)
 	}

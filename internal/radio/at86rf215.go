@@ -1,8 +1,7 @@
 // Package radio models the RF silicon on tinySDR: the AT86RF215 I/Q
-// transceiver (the platform's software-radio front end), the LVDS I/Q word
-// interface between radio and FPGA (Fig. 4), the SE2435L / SKY66112 RF
-// front-end modules, and the comparator chips the evaluation measures
-// against (Semtech SX1276, TI CC2650).
+// transceiver (the platform's software-radio front end), the SE2435L /
+// SKY66112 RF front-end modules, and the comparator chips the evaluation
+// measures against (Semtech SX1276, TI CC2650).
 //
 // Models are behavioural: they expose the registers, state machines, timing
 // and power that the paper's results depend on, and they transform sample
@@ -26,10 +25,6 @@ const (
 	SampleRate = 4e6
 	// ADCBits is the converter resolution per I/Q component.
 	ADCBits = 13
-	// LVDSClockHz is the DDR bit clock of the serial interface.
-	LVDSClockHz = 64e6
-	// LVDSBitRate is the resulting data rate: 128 Mbit/s.
-	LVDSBitRate = 2 * LVDSClockHz
 
 	// MaxTXPowerDBm is the transceiver's built-in PA limit.
 	MaxTXPowerDBm = 14

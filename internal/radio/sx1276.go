@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/uwsdr/tinysdr/internal/lora"
 	"github.com/uwsdr/tinysdr/internal/power"
 )
 
@@ -13,7 +12,8 @@ import (
 // backbone radio and that the evaluation compares against (Fig. 10/11).
 // Its LoRa modem demodulates with the same dechirp+FFT structure the
 // tinySDR FPGA implements; the chip model here carries the RF-side
-// constants: datasheet sensitivity, demodulator SNR limits, state power.
+// constants: the noise figure behind the datasheet sensitivity (see
+// lora.SensitivityDBm), TX power limits and state power.
 type SX1276 struct {
 	sink  power.Sink
 	state RadioState
@@ -97,15 +97,4 @@ func (r *SX1276) Transition(to RadioState) (time.Duration, error) {
 	}
 	r.setState(to)
 	return d, nil
-}
-
-// LoRaSNRLimitDB returns the Semtech demodulator's minimum SNR for a
-// spreading factor (datasheet table: -5 dB at SF6 stepping -2.5 dB per SF).
-func LoRaSNRLimitDB(sf int) float64 { return lora.SNRLimitDB(sf) }
-
-// LoRaSensitivityDBm returns the datasheet sensitivity for a configuration:
-// thermal floor + noise figure + SNR limit. For SF8/BW125 this is the
-// -126 dBm the paper quotes.
-func LoRaSensitivityDBm(sf int, bwHz float64) float64 {
-	return lora.SensitivityDBm(sf, bwHz, SX1276NoiseFigureDB)
 }

@@ -1,11 +1,10 @@
-// Package sim provides the simulated time base and event scheduler shared by
-// the tinySDR hardware models. All latency and energy results in the
-// evaluation are integrals over this clock, never over wall time, so every
-// experiment is deterministic and independent of host speed.
+// Package sim provides the simulated time base shared by the tinySDR
+// hardware models. All latency and energy results in the evaluation are
+// integrals over this clock, never over wall time, so every experiment is
+// deterministic and independent of host speed.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -38,98 +37,4 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 		panic(fmt.Sprintf("sim: clock moved backwards from %v to %v", c.now, t))
 	}
 	c.now = t
-}
-
-// event is a scheduled callback.
-type event struct {
-	at  time.Duration
-	seq uint64 // tie-breaker preserving scheduling order
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Scheduler runs callbacks at simulated times, advancing a Clock as it goes.
-// It is the discrete-event core used by the OTA protocol, the testbed, and
-// the duty-cycle simulations.
-type Scheduler struct {
-	clock *Clock
-	queue eventQueue
-	seq   uint64
-}
-
-// NewScheduler returns a scheduler driving the given clock.
-func NewScheduler(clock *Clock) *Scheduler {
-	return &Scheduler{clock: clock}
-}
-
-// Clock returns the scheduler's clock.
-func (s *Scheduler) Clock() *Clock { return s.clock }
-
-// At schedules fn at absolute simulated time t. Scheduling in the past panics.
-func (s *Scheduler) At(t time.Duration, fn func()) {
-	if t < s.clock.Now() {
-		panic(fmt.Sprintf("sim: event scheduled in the past (%v < %v)", t, s.clock.Now()))
-	}
-	s.seq++
-	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
-}
-
-// After schedules fn d after the current simulated time.
-func (s *Scheduler) After(d time.Duration, fn func()) {
-	s.At(s.clock.Now()+d, fn)
-}
-
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
-// Step runs the earliest event, advancing the clock to its time. It returns
-// false if the queue is empty.
-func (s *Scheduler) Step() bool {
-	if s.queue.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&s.queue).(*event)
-	s.clock.AdvanceTo(e.at)
-	e.fn()
-	return true
-}
-
-// Run executes events until the queue is empty. The maxEvents bound guards
-// against runaway self-rescheduling loops; Run panics when it is exceeded.
-func (s *Scheduler) Run(maxEvents int) {
-	for i := 0; s.Step(); i++ {
-		if i >= maxEvents {
-			panic(fmt.Sprintf("sim: scheduler exceeded %d events", maxEvents))
-		}
-	}
-}
-
-// RunUntil executes events with time <= deadline, then advances the clock to
-// exactly the deadline.
-func (s *Scheduler) RunUntil(deadline time.Duration) {
-	for s.queue.Len() > 0 && s.queue[0].at <= deadline {
-		s.Step()
-	}
-	if s.clock.Now() < deadline {
-		s.clock.AdvanceTo(deadline)
-	}
 }

@@ -37,98 +37,3 @@ func TestClockAdvanceToRejectsPast(t *testing.T) {
 	}()
 	c.AdvanceTo(time.Millisecond)
 }
-
-func TestSchedulerOrdering(t *testing.T) {
-	c := NewClock()
-	s := NewScheduler(c)
-	var order []int
-	s.At(30*time.Microsecond, func() { order = append(order, 3) })
-	s.At(10*time.Microsecond, func() { order = append(order, 1) })
-	s.At(20*time.Microsecond, func() { order = append(order, 2) })
-	s.Run(10)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("execution order = %v", order)
-	}
-	if c.Now() != 30*time.Microsecond {
-		t.Errorf("clock = %v, want 30us", c.Now())
-	}
-}
-
-func TestSchedulerFIFOAtSameTime(t *testing.T) {
-	s := NewScheduler(NewClock())
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.At(time.Millisecond, func() { order = append(order, i) })
-	}
-	s.Run(10)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events ran out of order: %v", order)
-		}
-	}
-}
-
-func TestSchedulerSelfReschedule(t *testing.T) {
-	c := NewClock()
-	s := NewScheduler(c)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 5 {
-			s.After(time.Second, tick)
-		}
-	}
-	s.After(time.Second, tick)
-	s.Run(100)
-	if count != 5 {
-		t.Errorf("ticks = %d, want 5", count)
-	}
-	if c.Now() != 5*time.Second {
-		t.Errorf("clock = %v, want 5s", c.Now())
-	}
-}
-
-func TestSchedulerRunBound(t *testing.T) {
-	s := NewScheduler(NewClock())
-	var loop func()
-	loop = func() { s.After(time.Nanosecond, loop) }
-	s.After(time.Nanosecond, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("runaway loop must panic")
-		}
-	}()
-	s.Run(50)
-}
-
-func TestSchedulerRejectsPast(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Second)
-	s := NewScheduler(c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past must panic")
-		}
-	}()
-	s.At(time.Millisecond, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	c := NewClock()
-	s := NewScheduler(c)
-	ran := 0
-	s.At(time.Second, func() { ran++ })
-	s.At(3*time.Second, func() { ran++ })
-	s.RunUntil(2 * time.Second)
-	if ran != 1 {
-		t.Errorf("ran %d events, want 1", ran)
-	}
-	if c.Now() != 2*time.Second {
-		t.Errorf("clock = %v, want 2s", c.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", s.Pending())
-	}
-}

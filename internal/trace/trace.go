@@ -22,16 +22,7 @@ package trace
 import (
 	"fmt"
 	"sort"
-
-	"github.com/uwsdr/tinysdr/internal/phy"
 )
-
-// Source is the replay side of the device seam — an alias of phy.Source,
-// re-exported so trace consumers name the seam without importing phy.
-type Source = phy.Source
-
-// Sink is the capture side of the device seam — an alias of phy.Sink.
-type Sink = phy.Sink
 
 // Meta identifies what a trace captured: the protocol, the channel
 // scenario recipe, and the quantization of the stored samples.

@@ -535,7 +535,7 @@ func NewConcurrentTransmitter(sampleRate float64, p LoRaParams) (*ConcurrentTran
 	return concurrent.NewTransmitter(sampleRate, p)
 }
 
-// LoRaWANSession is a TTN-compatible MAC security context (ABP or OTAA).
+// LoRaWANSession is a TTN-compatible MAC security context (ABP).
 type LoRaWANSession = lorawan.Session
 
 // NewABPSession returns a personalized (ABP) LoRaWAN session.
