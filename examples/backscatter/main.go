@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"github.com/uwsdr/tinysdr"
 )
@@ -18,37 +17,39 @@ func main() {
 	fmt.Printf("exciter tone + %v kHz subcarrier tag at %v kbps\n\n",
 		cfg.SubcarrierHz/1e3, cfg.BitRate/1e3)
 
-	// The tag reflects 40 dB below the exciter's self-interference.
-	tag := &tinysdr.BackscatterTag{Config: cfg, Reflection: 0.01}
-	rng := rand.New(rand.NewSource(1))
-	bits := make([]int, 96)
-	for i := range bits {
-		bits[i] = rng.Intn(2)
+	// The modem's waveform is what the reader hears: the exciter's
+	// self-interference leak at DC plus the tag's subcarrier reflection,
+	// 23 dB weaker.
+	tx, err := tinysdr.NewBackscatterModem(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	reflected, err := tag.Backscatter(bits)
+	rx, err := tinysdr.NewBackscatterModem(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rssi := rx.SensitivityDBm() + 6
+	sc := tinysdr.NewChannelScenario(
+		tinysdr.NewGainStage(rssi),
+		tinysdr.NewNoiseStage(rx.NoiseFloorDBm()),
+	)
+	link, err := tinysdr.OpenLink(tx, rx, sc, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Reader input: full-strength exciter leak + tag + receiver noise.
-	rx := tinysdr.BackscatterExcite(cfg, len(reflected))
-	rx.Add(reflected)
-	rx.Add(tinysdr.NewChannel(7, -90).Noise(len(rx)))
+	reading := []byte("tag:soil=31%")
+	got, err := link.Send(reading)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("reader decoded %q at %.1f dBm (sensitivity %.1f dBm)\n", got, rssi, rx.SensitivityDBm())
 
-	reader, err := tinysdr.NewBackscatterReader(cfg)
+	const packets = 40
+	stats, err := link.Run(reading, packets)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := reader.Demodulate(rx, len(bits))
-	if err != nil {
-		log.Fatal(err)
-	}
-	errs := 0
-	for i := range bits {
-		if got[i] != bits[i] {
-			errs++
-		}
-	}
-	fmt.Printf("decoded %d tag bits with %d errors through 40 dB self-interference\n", len(bits), errs)
+	fmt.Printf("%d readings: PER %.0f%% at %.1f dBm measured RSSI\n", packets, stats.PER*100, stats.RSSIdBm)
 	fmt.Println("the subcarrier-orthogonal detector needs no interference canceller")
 }

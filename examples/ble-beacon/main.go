@@ -37,25 +37,32 @@ func main() {
 	}
 	fmt.Printf("system draw during burst: %.0f mW\n\n", d.SystemPowerW()*1e3)
 
-	// Waveform-level check: a sniffer decodes each channel's beacon.
-	adv, err := tinysdr.NewAdvertiser(beacon, 4)
+	// Waveform-level check: a sniffer at -70 dBm, well above its -94 dBm
+	// sensitivity, decodes the advertising data through a BLE Link.
+	tx, err := tinysdr.NewBLEModem(4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	demod, err := tinysdr.NewBLEDemodulator(4)
+	rx, err := tinysdr.NewBLEModem(4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, ch := range []int{37, 38, 39} {
-		wave, err := adv.Mod.ModulateBeacon(beacon, ch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		awgn := tinysdr.NewChannel(int64(ch), -98)
-		got, err := demod.Receive(awgn.Apply(wave, -70), ch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("sniffer on ch %d: addr %x, %d data bytes ok\n", ch, got.AdvAddress, len(got.AdvData))
+	sc := tinysdr.NewChannelScenario(
+		tinysdr.NewGainStage(-70),
+		tinysdr.NewNoiseStage(rx.NoiseFloorDBm()),
+	)
+	sniffer, err := tinysdr.OpenLink(tx, rx, sc, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
+	got, err := sniffer.Send(beacon.AdvData)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("sniffer: %d data bytes ok (% x)\n", len(got), got)
+	stats, err := sniffer.Run(beacon.AdvData, 20)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("20 beacons at %.1f dBm measured RSSI: PER %.0f%%\n", stats.RSSIdBm, stats.PER*100)
 }

@@ -1,9 +1,9 @@
 // concurrent-rx demonstrates the §6 research study: one tinySDR endpoint
 // decoding two concurrent LoRa transmissions with orthogonal chirp slopes
-// (SF8 at 125 kHz and 250 kHz) from a single I/Q stream — first over a
-// plain AWGN channel, then through the composable scenario engine
-// (ParseScenario / NewChannelScenario), which replays the same superposed
-// stream under Rician fading, oscillator CFO and a live BLE interferer.
+// (SF8 at 125 kHz and 250 kHz) from a single I/Q stream — first with
+// plain receiver noise, then under Rician fading, oscillator CFO and a live
+// BLE interferer. Both runs compose their channel from scenario stages
+// (NewChannelScenario / ParseScenario).
 //
 // Run with: go run ./examples/concurrent-rx
 package main
@@ -57,10 +57,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Superpose at equal power near sensitivity, plus receiver noise.
-	rssi := tinysdr.LoRaSensitivityDBm(8, 125e3) + 6
-	ch := tinysdr.NewChannel(1, -113) // floor for 250 kHz at NF 7
-	rx := ch.ApplyMulti(len(w1), []tinysdr.Samples{w1, w2}, []float64{rssi, rssi}, []int{0, 0})
+	// Superpose at equal power near sensitivity, plus receiver noise: the
+	// BW125 stream is the signal and the BW250 stream rides in as a
+	// co-channel interferer at the same power, aligned at sample 0.
+	m1, err := tinysdr.NewLoRaModem(p1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rssi := m1.SensitivityDBm() + 6
+	superpose := func(extra ...tinysdr.ChannelStage) *tinysdr.ChannelScenario {
+		stages := []tinysdr.ChannelStage{
+			tinysdr.NewGainStage(rssi),
+			tinysdr.NewInterfererStage("lora", w2, rssi, 0),
+		}
+		sc := tinysdr.NewChannelScenario(append(stages, extra...)...)
+		sc.Reset(1, 0)
+		return sc
+	}
+	rx := superpose(tinysdr.NewNoiseStage(-113)).Apply(w1) // floor for 250 kHz at NF 7
 
 	got := dec.DemodAligned(rx)
 	count := func(got, want []int) int {
@@ -82,14 +96,13 @@ func main() {
 	// composed stages impose Rician fading, oscillator CFO and a live BLE
 	// beacon bleeding into the band. Reset(seed, trial) makes every
 	// condition reproducible — sweep trial to walk fading realizations.
-	clean := tinysdr.NewChannel(2, -200).ApplyMulti(len(w1),
-		[]tinysdr.Samples{w1, w2}, []float64{rssi, rssi}, []int{0, 0})
+	clean := superpose().Apply(w1)
 	spec, err := tinysdr.ParseScenario("fading=rician:6,cfo=150,drift=10,interferer=ble:-106")
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Gain targets the composite's own mean power (two equal streams sum
-	// to rssi+3 dB), so each stream stays at rssi like the AWGN baseline.
+	// to rssi+3 dB), so each stream stays at rssi like the noisy baseline.
 	sc, err := spec.Build(tinysdr.ScenarioLink{SampleRate: rate, RSSIdBm: clean.PowerDBm(), FloorDBm: -113})
 	if err != nil {
 		log.Fatal(err)

@@ -15,37 +15,36 @@ import (
 
 func main() {
 	p := tinysdr.DefaultLoRaParams() // SF8, BW125, CR 4/5
-	tx := tinysdr.New(tinysdr.Config{ID: 1})
-	rx := tinysdr.New(tinysdr.Config{ID: 2})
-	if err := tx.ConfigureLoRa(p); err != nil {
+	tx, err := tinysdr.NewLoRaModem(p)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rx.ConfigureLoRa(p); err != nil {
-		log.Fatal(err)
-	}
-
-	model := tinysdr.PathLoss{FreqHz: 915e6, Exponent: 2.9}
-	sens := tinysdr.LoRaSensitivityDBm(p.SF, p.BW)
-	fmt.Printf("SF%d/BW%.0fkHz, TX 14 dBm, sensitivity %.0f dBm\n", p.SF, p.BW/1e3, sens)
-	fmt.Printf("predicted range: %.0f m\n\n", model.RangeFor(14, 2, 0, sens))
-
-	air, err := tx.TransmitLoRa([]byte("ping"), 14)
+	rx, err := tinysdr.NewLoRaModem(p)
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	model := tinysdr.PathLoss{FreqHz: 915e6, Exponent: 2.9}
+	sens := rx.SensitivityDBm()
+	fmt.Printf("SF%d/BW%.0fkHz, TX 14 dBm, sensitivity %.0f dBm\n", p.SF, p.BW/1e3, sens)
+	fmt.Printf("predicted range: %.0f m\n\n", model.RangeFor(14, 2, 0, sens))
+
 	const packets = 40
 	fmt.Printf("%8s  %9s  %6s\n", "distance", "RSSI", "PER")
-	for _, dist := range []float64{1000, 3000, 5000, 5800, 6200, 6600, 7000} {
+	for _, dist := range []float64{1000, 3000, 5000, 5800, 6200, 6600, 7000, 7500, 8000} {
 		rssi := model.RSSIdBm(14, 2, 0, dist, 0)
-		ch := tinysdr.NewChannel(int64(dist), tinysdr.LoRaNoiseFloorDBm(p))
-		failures := 0
-		for i := 0; i < packets; i++ {
-			pkt, err := rx.ReceiveLoRa(ch.Apply(air, rssi))
-			if err != nil || !pkt.CRCOK {
-				failures++
-			}
+		sc := tinysdr.NewChannelScenario(
+			tinysdr.NewGainStage(rssi),
+			tinysdr.NewNoiseStage(rx.NoiseFloorDBm()),
+		)
+		link, err := tinysdr.OpenLink(tx, rx, sc, int64(dist))
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%7.0fm  %6.1fdBm  %5.0f%%\n", dist, rssi, 100*float64(failures)/packets)
+		stats, err := link.Run([]byte("ping"), packets)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%7.0fm  %6.1fdBm  %5.0f%%\n", dist, rssi, 100*stats.PER)
 	}
 }

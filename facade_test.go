@@ -134,31 +134,21 @@ var _ = []any{
 	CR45, CR46, CR47, CR48,
 	FleetBroadcast, FleetUnicast,
 	TargetFPGA, TargetMCU,
-	AdaptSF, BLEDesign, BLEInterfererWaveform, BackscatterExcite,
-	BuildUpdate, DefaultBackscatterConfig, DefaultLoRaParams,
-	InterfererWaveform, LoRaDesign, LoRaInterfererWaveform,
-	LoRaNoiseFloorDBm, LoRaSensitivityDBm, New, NewABPSession,
-	NewAdvertiser, NewBLEDemodulator, NewBLEModem, NewBackscatterModem,
-	NewBackscatterReader, NewBroadcastOTASession, NewCFOStage, NewChannel,
+	AdaptSF, BLEDesign, BuildUpdate, DefaultBackscatterConfig,
+	DefaultLoRaParams, InterfererWaveform, LoRaDesign, New,
+	NewBLEModem, NewBackscatterModem, NewBroadcastOTASession, NewCFOStage,
 	NewChannelScenario, NewConcurrentDecoder, NewConcurrentTransmitter,
 	NewFlatFadingStage, NewFleetServer, NewGainStage, NewInterfererStage,
-	NewLoRaModem, NewModem, NewNoiseStage, NewOTASession, NewRanger,
-	NewTestbed, NewTestbedN, OpenLink, ParseScenario, RegisteredPHYs,
-	RunFleetCampaign, SynthBitstream, SynthMCUFirmware, TestbedCDF,
-	Trilaterate,
+	NewLoRaModem, NewModem, NewNoiseStage, NewOTASession, NewTestbed,
+	NewTestbedN, OpenLink, ParseScenario, RegisteredPHYs, RunFleetCampaign,
+	SynthBitstream, SynthMCUFirmware, TestbedCDF,
 }
 
 var (
-	_ Advertiser
-	_ Anchor
-	_ BLEDemodulator
 	_ BackscatterConfig
-	_ BackscatterReader
-	_ BackscatterTag
 	_ Beacon
 	_ BroadcastOTASession
 	_ BroadcastTarget
-	_ Channel
 	_ ChannelScenario
 	_ ChannelStage
 	_ CodingRate
@@ -176,14 +166,10 @@ var (
 	_ LinkStats
 	_ LoRaPacket
 	_ LoRaParams
-	_ LoRaWANFrame
-	_ LoRaWANSession
-	_ LocalizationSystem
 	_ Modem
 	_ OTASession
 	_ PathLoss
 	_ RadioProfile
-	_ Ranger
 	_ Samples
 	_ ScenarioLink
 	_ ScenarioSpec
@@ -255,29 +241,20 @@ func TestFacadeModemLink(t *testing.T) {
 }
 
 // TestFacadeNoiseFigureConsistency is the regression test for the facade
-// noise-figure mismatch: the sensitivity and noise-floor helpers must
-// derive from one radio profile, and the modem they describe must agree.
+// noise-figure mismatch: a LoRa modem's sensitivity and noise floor must
+// both imply its radio profile's noise figure once the thermal and
+// bandwidth terms are subtracted from each.
 func TestFacadeNoiseFigureConsistency(t *testing.T) {
 	p := DefaultLoRaParams()
 	m, err := NewLoRaModem(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.SensitivityDBm(), LoRaSensitivityDBm(p.SF, p.BW); got != want {
-		t.Errorf("modem sensitivity %v != facade helper %v", got, want)
-	}
-	if got, want := m.NoiseFloorDBm(), LoRaNoiseFloorDBm(p); got != want {
-		t.Errorf("modem noise floor %v != facade helper %v", got, want)
-	}
-	// Both helpers must imply the same noise figure: subtracting the
-	// thermal+bandwidth terms from each must agree.
-	nfFromSens := LoRaSensitivityDBm(p.SF, p.BW) - (-174 + 10*math.Log10(p.BW) - 5 - 2.5*float64(p.SF-6))
-	nfFromFloor := LoRaNoiseFloorDBm(p) - (-174 + 10*math.Log10(p.SampleRate()))
-	if math.Abs(nfFromSens-nfFromFloor) > 1e-9 {
-		t.Errorf("mixed noise figures: %v from sensitivity, %v from floor", nfFromSens, nfFromFloor)
-	}
-	if rp := m.Radio(); rp.NoiseFigureDB != nfFromFloor {
-		t.Errorf("radio profile NF %v, helpers imply %v", rp.NoiseFigureDB, nfFromFloor)
+	nf := m.Radio().NoiseFigureDB
+	nfFromSens := m.SensitivityDBm() - (-174 + 10*math.Log10(p.BW) - 5 - 2.5*float64(p.SF-6))
+	nfFromFloor := m.NoiseFloorDBm() - (-174 + 10*math.Log10(p.SampleRate()))
+	if math.Abs(nfFromSens-nf) > 1e-9 || math.Abs(nfFromFloor-nf) > 1e-9 {
+		t.Errorf("mixed noise figures: %v from sensitivity, %v from floor, profile %v", nfFromSens, nfFromFloor, nf)
 	}
 }
 
@@ -291,56 +268,13 @@ func TestFacadeAdaptSF(t *testing.T) {
 }
 
 func TestFacadePathLoss(t *testing.T) {
+	lm, err := NewLoRaModem(DefaultLoRaParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := PathLoss{FreqHz: 915e6, Exponent: 2.9}
-	if r := m.RangeFor(14, 2, 0, LoRaSensitivityDBm(8, 125e3)); r < 1000 {
+	if r := m.RangeFor(14, 2, 0, lm.SensitivityDBm()); r < 1000 {
 		t.Errorf("LoRa range = %.0f m, want km scale", r)
-	}
-}
-
-func TestFacadeLocalization(t *testing.T) {
-	ranger, err := NewRanger([]float64{902e6, 904e6, 918e6}, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := &LocalizationSystem{
-		Anchors: []Anchor{{X: 0, Y: 0}, {X: 60, Y: 0}, {X: 0, Y: 60}},
-		Ranger:  ranger,
-	}
-	x, y, err := sys.Locate(20, 25, func(d float64) float64 { return -65 }, -100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := math.Hypot(x-20, y-25); e > 2 {
-		t.Errorf("position error %.2f m", e)
-	}
-	// Direct trilateration is exposed too.
-	if _, _, err := Trilaterate(sys.Anchors, []float64{32, 47.2, 40.3}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeBackscatter(t *testing.T) {
-	cfg := DefaultBackscatterConfig()
-	tag := &BackscatterTag{Config: cfg, Reflection: 0.02}
-	bits := []int{0, 1, 1, 0, 1, 0, 0, 1}
-	reflected, err := tag.Backscatter(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx := BackscatterExcite(cfg, len(reflected))
-	rx.Add(reflected)
-	reader, err := NewBackscatterReader(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := reader.Demodulate(rx, len(bits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bits {
-		if got[i] != bits[i] {
-			t.Fatalf("bit %d wrong", i)
-		}
 	}
 }
 

@@ -2,17 +2,15 @@ package tinysdr
 
 // Full-platform integration test: one simulated tinySDR endpoint lives the
 // lifecycle the paper's testbed vision describes — it is reprogrammed over
-// the air between protocols, beacons as a BLE device, then runs a
-// TTN-compatible LoRaWAN uplink over the sample-level PHY, duty-cycling
-// through 30 µW sleep between activities.
+// the air between protocols, beacons as a BLE device, then sends a LoRa
+// sensor uplink over the sample-level PHY, duty-cycling through 30 µW
+// sleep between activities.
 
 import (
 	"bytes"
 	"math"
 	"testing"
 	"time"
-
-	"github.com/uwsdr/tinysdr/internal/lorawan"
 )
 
 func TestPlatformLifecycle(t *testing.T) {
@@ -53,25 +51,26 @@ func TestPlatformLifecycle(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("beacon burst produced %d events", len(events))
 	}
-	adv, err := NewAdvertiser(beacon, 4)
+	bleTX, err := NewBLEModem(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave, err := adv.Mod.ModulateBeacon(beacon, 37)
+	bleRX, err := NewBLEModem(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sniffer, err := NewBLEDemodulator(4)
+	sniffer, err := OpenLink(bleTX, bleRX, NewChannelScenario(
+		NewGainStage(-75), NewNoiseStage(bleRX.NoiseFloorDBm()),
+	), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch24 := NewChannel(2, -98)
-	got, err := sniffer.Receive(ch24.Apply(wave, -75), 37)
+	got, err := sniffer.Send(beacon.AdvData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AdvAddress != beacon.AdvAddress {
-		t.Fatal("sniffer decoded wrong advertiser address")
+	if !bytes.Equal(got, beacon.AdvData) {
+		t.Fatalf("sniffer decoded advertising data % x", got)
 	}
 
 	// --- Phase 3: deep sleep between roles; the 30 µW state.
@@ -102,22 +101,7 @@ func TestPlatformLifecycle(t *testing.T) {
 		t.Fatal("device not running the LoRa design after second update")
 	}
 
-	// --- Phase 5: TTN-style LoRaWAN uplink over the sample-level PHY.
-	var nwk, app [16]byte
-	for i := range nwk {
-		nwk[i] = byte(i + 1)
-		app[i] = byte(0x80 + i)
-	}
-	session := NewABPSession(0x26011234, nwk, app)
-	frame := &LoRaWANFrame{
-		MType: lorawan.MTypeUnconfirmedUp, DevAddr: session.DevAddr,
-		FCnt: 0, FPort: 1, FRMPayload: []byte("temp=21.4C"),
-	}
-	phy, err := frame.Encode(session)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// --- Phase 5: a sensor uplink over the sample-level PHY.
 	p := DefaultLoRaParams()
 	if err := dev.ConfigureLoRa(p); err != nil {
 		t.Fatal(err)
@@ -125,24 +109,20 @@ func TestPlatformLifecycle(t *testing.T) {
 	if err := gateway.ConfigureLoRa(p); err != nil {
 		t.Fatal(err)
 	}
-	air, err := dev.TransmitLoRa(phy, 14)
+	reading := []byte("temp=21.4C")
+	air, err := dev.TransmitLoRa(reading, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch915 := NewChannel(4, LoRaNoiseFloorDBm(p))
-	pkt, err := gateway.ReceiveLoRa(ch915.Apply(air, -118))
+	pkt, err := gateway.ReceiveLoRa(loRaChannel(t, p, -118, 4).Apply(air))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pkt.CRCOK {
 		t.Fatal("uplink CRC failed")
 	}
-	decoded, err := lorawan.DecodeData(session, pkt.Payload, lorawan.Uplink, 0)
-	if err != nil {
-		t.Fatalf("gateway could not verify the LoRaWAN frame: %v", err)
-	}
-	if !bytes.Equal(decoded.FRMPayload, []byte("temp=21.4C")) {
-		t.Fatalf("application payload %q", decoded.FRMPayload)
+	if !bytes.Equal(pkt.Payload, reading) {
+		t.Fatalf("uplink payload %q", pkt.Payload)
 	}
 
 	// --- Phase 6: the energy story holds across the whole lifecycle.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/uwsdr/tinysdr/internal/dsp"
 	"github.com/uwsdr/tinysdr/internal/iq"
 )
 
@@ -153,10 +152,4 @@ func (r *Reader) Demodulate(rx iq.Samples, nbits int) ([]int, error) {
 		}
 	}
 	return bits, nil
-}
-
-// Excite produces the reader's transmit tone at unit amplitude — the
-// single-tone generator the platform already has (Fig. 8).
-func Excite(c Config, samples int) iq.Samples {
-	return dsp.NewNCO(0).Generate(samples)
 }

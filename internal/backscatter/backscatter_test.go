@@ -56,8 +56,11 @@ func link(t *testing.T, bits []int, reflection, leakAmp float64, floorDBm float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := Excite(cfg, len(reflected)).Scale(leakAmp)
-	rx.Add(reflected)
+	// The exciter's self-interference is a constant tone at DC.
+	rx := make(iq.Samples, len(reflected))
+	for i := range rx {
+		rx[i] = complex(leakAmp, 0) + reflected[i]
+	}
 	if floorDBm > -300 {
 		rx.Add(channel.NewAWGN(seed, floorDBm).Noise(len(rx)))
 	}

@@ -3,6 +3,7 @@ package backscatter
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
@@ -41,8 +42,10 @@ const (
 )
 
 // backscatterDetectionSNRdB is the per-bit correlation SNR needed for
-// reliable slicing, over the bit-rate noise bandwidth.
-const backscatterDetectionSNRdB = 10
+// reliable slicing, over the bit-rate noise bandwidth. The reader is an
+// energy detector with a threshold midway between the '0' and '1'
+// clusters, so it needs far more margin than a coherent slicer would.
+const backscatterDetectionSNRdB = 18
 
 // errEmptyPayload is a sentinel so the ModulateInto hot path rejects empty
 // payloads without formatting an error.
@@ -78,13 +81,16 @@ func (m *Modem) Airtime(payloadBytes int) time.Duration {
 // Radio implements phy.Modem.
 func (m *Modem) Radio() channel.RadioProfile { return m.profile }
 
-// sidebandShareDB returns how far the tag sideband sits below the composite
-// waveform's mean power: the composite is leak power plus the subcarrier
-// sideband (reflection amplitude squared at 50% '1'-bit duty).
+// sidebandShareDB returns how far the detected tag sideband sits below the
+// composite waveform's mean power. The composite is leak power plus the
+// reflection (amplitude squared at 50% '1'-bit duty), but the per-bit
+// correlator sees only the +subcarrier fundamental of the tag's square
+// wave, which carries (2/π)² of the reflected power.
 func (m *Modem) sidebandShareDB() float64 {
-	sideband := m.Reflection * m.Reflection / 2
-	total := m.ExciterLeak*m.ExciterLeak + sideband
-	return iq.DB(total / sideband)
+	reflected := m.Reflection * m.Reflection / 2
+	fundamental := reflected * 4 / (math.Pi * math.Pi)
+	total := m.ExciterLeak*m.ExciterLeak + reflected
+	return iq.DB(total / fundamental)
 }
 
 // SensitivityDBm implements phy.Modem: the minimum composite received

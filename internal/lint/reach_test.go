@@ -38,7 +38,6 @@ var testReferences = map[string]string{
 	modulePath + "/internal/iq.DecodeInt16":                 "TestDecodeInt16IntoMatchesDecode",
 	modulePath + "/internal/lzo.Decompress":                 "TestRoundTripRandomProperty",
 	modulePath + "/internal/lzo.DecompressBlocks":           "TestBlockPipeline30KB",
-	modulePath + "/internal/lorawan.DecodeData":             "TestPublicAPILoRaWAN",
 	modulePath + "/internal/phy.SymbolStreamer":             "TestSymbolDemodZeroAllocsThroughModem",
 	modulePath + "/internal/lint/analysistest.Run":          "TestNoAllocIntoFixtures",
 	modulePath + "/internal/lint/analysistest.LoadFixtures": "TestWaiverMechanism",

@@ -44,7 +44,8 @@ const (
 )
 
 // HealConfig tunes the self-healing protocol. The zero value is runnable:
-// no injected faults and the default budgets.
+// no injected faults and the default retry budget. Repair rounds and
+// backoff are capped at DefaultHealRounds and DefaultMaxBackoff.
 type HealConfig struct {
 	// Plan injects deterministic faults; nil runs the healing protocol
 	// over the plain loss channel.
@@ -54,11 +55,6 @@ type HealConfig struct {
 	// images' worth of chunks) — enough to recover a node that crashed
 	// late and must re-take the whole image.
 	RetryBudget int
-	// MaxRounds bounds the repair rounds; 0 means DefaultHealRounds.
-	MaxRounds int
-	// MaxBackoff caps the exponential per-node backoff in rounds; 0
-	// means DefaultMaxBackoff.
-	MaxBackoff int
 	// Canceled, when non-nil, is polled between rounds so a controller
 	// can abort a campaign (see fleet.Server); a canceled session
 	// returns ErrCanceled.
@@ -90,14 +86,6 @@ type healNode struct {
 func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, hc HealConfig) (*BroadcastReport, error) {
 	if len(s.Targets) == 0 {
 		return nil, fmt.Errorf("ota: empty fleet")
-	}
-	maxRounds := hc.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultHealRounds
-	}
-	maxBackoff := hc.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = DefaultMaxBackoff
 	}
 	budget := hc.RetryBudget
 	if budget <= 0 {
@@ -269,7 +257,7 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 
 	// Repair rounds: NACK-driven, budgeted, with capped exponential
 	// backoff for nodes that make no progress.
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; round <= DefaultHealRounds; round++ {
 		if hc.Canceled != nil && hc.Canceled() {
 			return nil, ErrCanceled
 		}
@@ -310,7 +298,7 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 					progress = true
 				}
 				if rep.PerNode[i].Err != nil || !st.announced {
-					s.backoffStep(st, round, maxBackoff, progress)
+					s.backoffStep(st, round, progress)
 					continue
 				}
 			}
@@ -329,7 +317,7 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 				continue
 			}
 			if !polled || !t.Node.InUpdate() {
-				s.backoffStep(st, round, maxBackoff, progress)
+				s.backoffStep(st, round, progress)
 				continue
 			}
 
@@ -361,7 +349,7 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 			if t.Node.InUpdate() && len(t.Node.Missing()) < before {
 				progress = true
 			}
-			s.backoffStep(st, round, maxBackoff, progress)
+			s.backoffStep(st, round, progress)
 		}
 		if !active {
 			break
@@ -381,7 +369,7 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 		case !t.Node.InUpdate():
 			fail(i, fmt.Errorf("ota: node %d crashed and was not recovered", t.Node.ID), FailCrashed)
 		default:
-			fail(i, fmt.Errorf("ota: node %d not repaired after %d rounds", t.Node.ID, maxRounds), FailExhausted)
+			fail(i, fmt.Errorf("ota: node %d not repaired after %d rounds", t.Node.ID, DefaultHealRounds), FailExhausted)
 		}
 	}
 
@@ -415,8 +403,8 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 }
 
 // backoffStep advances a node's backoff schedule: progress resets it to
-// the next round; a dry round doubles it up to the cap.
-func (s *BroadcastSession) backoffStep(st *healNode, round, maxBackoff int, progress bool) {
+// the next round; a dry round doubles it up to DefaultMaxBackoff.
+func (s *BroadcastSession) backoffStep(st *healNode, round int, progress bool) {
 	if progress {
 		st.backoff = 1
 	} else {
@@ -424,8 +412,8 @@ func (s *BroadcastSession) backoffStep(st *healNode, round, maxBackoff int, prog
 		if st.backoff < 1 {
 			st.backoff = 1
 		}
-		if st.backoff > maxBackoff {
-			st.backoff = maxBackoff
+		if st.backoff > DefaultMaxBackoff {
+			st.backoff = DefaultMaxBackoff
 		}
 	}
 	st.nextRound = round + st.backoff

@@ -154,6 +154,41 @@ func TestGoldenRoundTripEveryPHY(t *testing.T) {
 	}
 }
 
+// TestSensitivityAnchorsHoldOnTheLink checks every registered PHY's
+// SensitivityDBm against its own Link over receiver noise: 3 dB above the
+// anchor the golden payload gets through, and 6 dB below it the link has
+// fallen off its PER cliff. An anchor that is optimistic or pessimistic by
+// more than a few dB fails one side.
+func TestSensitivityAnchorsHoldOnTheLink(t *testing.T) {
+	const packets = 40
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range []struct{ marginDB, minPER, maxPER float64 }{
+				{+3, 0, 0.10},
+				{-6, 0.50, 1},
+			} {
+				tx, rx := mustNew(t, name), mustNew(t, name)
+				sc := channel.NewScenario(
+					channel.NewGain(rx.SensitivityDBm()+c.marginDB),
+					channel.NewNoise(rx.NoiseFloorDBm()),
+				)
+				link, err := Open(tx, rx, sc, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := link.Run(goldenPayload, packets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PER < c.minPER || st.PER > c.maxPER {
+					t.Errorf("PER %.2f at sensitivity%+.0f dB (%.1f dBm), want [%.2f, %.2f]",
+						st.PER, c.marginDB, rx.SensitivityDBm()+c.marginDB, c.minPER, c.maxPER)
+				}
+			}
+		})
+	}
+}
+
 // TestLinkDeterministicAndSequential pins the Link randomness contract:
 // Run is a fixed function of (seed, packet index), and Send advances
 // packet indices in call order.

@@ -82,20 +82,29 @@ func (a *Aggregator) Release(n int) {
 
 // IngestWire admits, parses and folds in one marshaled report — the
 // whole producer path in one call. The in-process API for sweeps; the
-// HTTP endpoint splits the same steps around the body read.
+// HTTP endpoint admits before the body read and then calls ingestAdmitted.
 func (a *Aggregator) IngestWire(data []byte) error {
 	if err := a.Admit(len(data)); err != nil {
 		return err
 	}
 	defer a.Release(len(data))
+	_, err := a.ingestAdmitted(data)
+	return err
+}
+
+// ingestAdmitted parses and folds in one admitted report, counting a parse
+// failure in Errored just like a report that does not fit the grid.
+// parsed reports whether the bytes were a well-formed report, which is
+// what separates a bad request from an unprocessable one.
+func (a *Aggregator) ingestAdmitted(data []byte) (parsed bool, err error) {
 	var r Report
 	if err := r.UnmarshalBinary(data); err != nil {
 		a.mu.Lock()
 		a.stats.Errored++
 		a.mu.Unlock()
-		return err
+		return false, err
 	}
-	return a.Ingest(&r)
+	return true, a.Ingest(&r)
 }
 
 // Ingest folds one parsed report into the map.

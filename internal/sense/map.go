@@ -91,6 +91,17 @@ func (c *Cell) merge(o Cell) {
 	c.SumSqQ += o.SumSqQ
 }
 
+// valid reports whether the cell may appear on the wire: an uncovered
+// cell is all-zero, no more reports are occupied than covered it, and a
+// covered cell's extremes are ordered. Marshal and unmarshal share it, so
+// every map that marshals also parses back.
+func (c *Cell) valid() bool {
+	if c.Count == 0 {
+		return *c == Cell{}
+	}
+	return c.Occupied <= c.Count && c.MinQ <= c.MaxQ
+}
+
 // Occupancy is the fraction of covering reports at or above threshold.
 func (c Cell) Occupancy() float64 {
 	if c.Count == 0 {
@@ -262,11 +273,8 @@ func (m *Map) MarshalBinary() ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, m.Reports)
 	for i := range m.Cells {
 		c := &m.Cells[i]
-		if c.Count == 0 && (c.Occupied != 0 || c.SumQ != 0 || c.SumSqQ != 0 || c.MinQ != 0 || c.MaxQ != 0) {
-			return nil, fmt.Errorf("sense: cell %d has stats but no count", i)
-		}
-		if c.Occupied > c.Count {
-			return nil, fmt.Errorf("sense: cell %d occupied %d of %d", i, c.Occupied, c.Count)
+		if !c.valid() {
+			return nil, fmt.Errorf("sense: malformed cell %d %+v", i, *c)
 		}
 		out = binary.LittleEndian.AppendUint32(out, c.Count)
 		out = binary.LittleEndian.AppendUint32(out, c.Occupied)
@@ -319,14 +327,8 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 			SumQ: int64(rd.u64()), SumSqQ: rd.u64(),
 			MinQ: int16(rd.u16()), MaxQ: int16(rd.u16()),
 		}
-		if c.Count == 0 && (c.Occupied != 0 || c.SumQ != 0 || c.SumSqQ != 0 || c.MinQ != 0 || c.MaxQ != 0) {
-			return fmt.Errorf("sense: cell %d has stats but no count", i)
-		}
-		if c.Occupied > c.Count {
-			return fmt.Errorf("sense: cell %d occupied %d of %d", i, c.Occupied, c.Count)
-		}
-		if c.Count > 0 && c.MinQ > c.MaxQ {
-			return fmt.Errorf("sense: cell %d min code %d over max %d", i, c.MinQ, c.MaxQ)
+		if !c.valid() {
+			return fmt.Errorf("sense: malformed cell %d %+v", i, c)
 		}
 		cells[i] = c
 	}

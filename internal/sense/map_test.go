@@ -241,6 +241,45 @@ func TestMapUnmarshalRejectsCorruption(t *testing.T) {
 	if _, err := bad.MarshalBinary(); err == nil {
 		t.Error("occupied>count cell marshaled")
 	}
+	bad.Cells[0] = Cell{Count: 1, MinQ: 5, MaxQ: -5}
+	if _, err := bad.MarshalBinary(); err == nil {
+		t.Error("min>max cell marshaled")
+	}
+}
+
+// FuzzMapUnmarshal pins memory-safety and the canonical-form contract of
+// the TSOM parser: whatever bytes are accepted must re-marshal to the
+// identical input.
+func FuzzMapUnmarshal(f *testing.F) {
+	m, err := NewMap(2, 4, 1e6, -85)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []*Report{reportFor(0, 4, -400), reportFor(1, 4, -100), reportFor(1, 4, 20)} {
+		if err := m.Absorb(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	wire, err := m.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire)
+	f.Add([]byte("TSOM"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Map
+		if err := m.UnmarshalBinary(data); err != nil {
+			return
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("accepted map fails to marshal: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("accepted map is not canonical:\n in  %x\n out %x", data, out)
+		}
+	})
 }
 
 func TestMapSummarize(t *testing.T) {

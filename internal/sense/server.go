@@ -42,13 +42,12 @@ func NewHandler(a *Aggregator) http.Handler {
 			httpjson.Error(w, http.StatusBadRequest, fmt.Errorf("sense: reading report body: %w", err))
 			return
 		}
-		var rep Report
-		if err := rep.UnmarshalBinary(body); err != nil {
-			httpjson.Error(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := a.Ingest(&rep); err != nil {
-			httpjson.Error(w, http.StatusUnprocessableEntity, err)
+		if parsed, err := a.ingestAdmitted(body); err != nil {
+			status := http.StatusUnprocessableEntity
+			if !parsed {
+				status = http.StatusBadRequest
+			}
+			httpjson.Error(w, status, err)
 			return
 		}
 		httpjson.Write(w, http.StatusAccepted, a.Stats())

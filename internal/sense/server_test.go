@@ -99,6 +99,13 @@ func TestHandlerRejections(t *testing.T) {
 	if resp := postReport(t, srv, huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize status %d", resp.StatusCode)
 	}
+	// The garbage and the out-of-grid report both count as errored, as
+	// they would through IngestWire; the oversize body is never parsed.
+	var st Stats
+	getJSON(t, srv, "/stats", &st)
+	if st.Errored != 2 || st.Ingested != 0 {
+		t.Fatalf("stats %+v, want 2 errored and none ingested", st)
+	}
 }
 
 func TestHandlerBackpressure(t *testing.T) {

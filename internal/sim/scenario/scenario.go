@@ -11,11 +11,9 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/uwsdr/tinysdr/internal/ble"
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/dsp"
 	"github.com/uwsdr/tinysdr/internal/iq"
-	"github.com/uwsdr/tinysdr/internal/lora"
 	"github.com/uwsdr/tinysdr/internal/phy"
 )
 
@@ -57,34 +55,6 @@ func Resample(sig iq.Samples, srcRate, dstRate float64) iq.Samples {
 		out[i] = src[i0]*complex(1-frac, 0) + src[i0+1]*complex(frac, 0)
 	}
 	return out
-}
-
-// LoRaInterfererWaveform modulates one packet from a live LoRa modulator
-// and resamples it to the victim link's rate.
-func LoRaInterfererWaveform(p lora.Params, payload []byte, dstRate float64) (iq.Samples, error) {
-	mod, err := lora.NewModulator(p)
-	if err != nil {
-		return nil, err
-	}
-	sig, err := mod.Modulate(payload)
-	if err != nil {
-		return nil, err
-	}
-	return Resample(sig, p.SampleRate(), dstRate), nil
-}
-
-// BLEInterfererWaveform modulates one advertising beacon from a live GFSK
-// modulator and resamples it to the victim link's rate.
-func BLEInterfererWaveform(b ble.Beacon, sps, advChannel int, dstRate float64) (iq.Samples, error) {
-	mod, err := ble.NewModulator(sps)
-	if err != nil {
-		return nil, err
-	}
-	sig, err := mod.ModulateBeacon(b, advChannel)
-	if err != nil {
-		return nil, err
-	}
-	return Resample(sig, mod.SampleRate(), dstRate), nil
 }
 
 // interfererPayload is the canonical payload every registered PHY

@@ -43,11 +43,6 @@
 //	stats, _ := link.Run([]byte("hello"), 100)
 //	fmt.Printf("PER %.1f%% at %.1f dBm\n", stats.PER*100, stats.RSSIdBm)
 //
-// The per-protocol device helpers (ConfigureLoRa/TransmitLoRa/ReceiveLoRa,
-// NewAdvertiser, NewBackscatterReader, ...) remain available as thin
-// wrappers over the same PHY implementations; MIGRATION.md maps the old
-// constructors to Link calls.
-//
 // # Crowd-sourced spectrum sensing
 //
 // The sensing subsystem (internal/sense, cmd/tinysdr-sense) turns a fleet
@@ -80,10 +75,8 @@ import (
 	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/lint"
-	"github.com/uwsdr/tinysdr/internal/localize"
 	"github.com/uwsdr/tinysdr/internal/lora"
 	"github.com/uwsdr/tinysdr/internal/lora/concurrent"
-	"github.com/uwsdr/tinysdr/internal/lorawan"
 	"github.com/uwsdr/tinysdr/internal/ota"
 	"github.com/uwsdr/tinysdr/internal/phy"
 	"github.com/uwsdr/tinysdr/internal/radio"
@@ -286,9 +279,9 @@ type SenseSweepResult = sense.SweepResult
 func RunSenseSweep(cfg SenseSweepConfig) (*SenseSweepResult, error) { return sense.Sweep(cfg) }
 
 // InterfererWaveform builds the canonical interference waveform of any
-// registered PHY at a victim link's sample rate — the protocol-generic
-// successor of LoRaInterfererWaveform/BLEInterfererWaveform, and exactly
-// what the scenario grammar's interferer=<phy> term injects.
+// registered PHY at a victim link's sample rate — exactly what the
+// scenario grammar's interferer=<phy> term injects, for use with
+// NewInterfererStage.
 func InterfererWaveform(kind string, dstRate float64) (Samples, error) {
 	return scenario.DefaultInterfererWaveform(kind, dstRate)
 }
@@ -329,38 +322,10 @@ const (
 // SF8, 125 kHz, CR 4/5, explicit header, CRC, 10-symbol preamble.
 func DefaultLoRaParams() LoRaParams { return lora.DefaultParams() }
 
-// loRaRadio is the single receive-chain profile behind every facade LoRa
-// link-budget helper and NewLoRaModem. Routing LoRaSensitivityDBm and
-// LoRaNoiseFloorDBm through the same profile fixes the historical
-// mismatch where sensitivity used the SX1276's 7 dB noise figure while
-// the noise floor used the AT86RF215's 8.8 dB for the same link.
+// loRaRadio is the single receive-chain profile behind NewLoRaModem and
+// AdaptSF, so a LoRa modem's sensitivity, its noise floor and the rate
+// adaptation margin all derive from one noise figure.
 var loRaRadio = radio.SX1276Profile()
-
-// LoRaSensitivityDBm returns the receive sensitivity the platform achieves
-// for a spreading factor and bandwidth (−126 dBm at SF8/125 kHz, matching
-// both the paper's measurement and the SX1276 datasheet). It derives from
-// the same radio profile as LoRaNoiseFloorDBm.
-func LoRaSensitivityDBm(sf int, bwHz float64) float64 {
-	return lora.SensitivityDBm(sf, bwHz, loRaRadio.NoiseFigureDB)
-}
-
-// LoRaNoiseFloorDBm returns the receiver noise floor for a configuration's
-// sampled bandwidth — the floor to hand to NewChannel for link
-// simulations. It derives from the same radio profile as
-// LoRaSensitivityDBm, so a simulated link's floor and sensitivity anchor
-// can never mix noise figures.
-func LoRaNoiseFloorDBm(p LoRaParams) float64 {
-	return loRaRadio.NoiseFloorDBm(p.SampleRate())
-}
-
-// Channel is an AWGN channel with a fixed receiver noise floor.
-type Channel = channel.AWGN
-
-// NewChannel returns a deterministic AWGN channel (floor in dBm over the
-// sampled bandwidth).
-func NewChannel(seed int64, floorDBm float64) *Channel {
-	return channel.NewAWGN(seed, floorDBm)
-}
 
 // PathLoss is the log-distance propagation model used for deployments.
 type PathLoss = channel.LogDistance
@@ -429,35 +394,8 @@ type ScenarioLink = scenario.Link
 // "fading=rician:10,cfo=200,drift=20,interferer=lora:-110".
 func ParseScenario(s string) (*ScenarioSpec, error) { return scenario.Parse(s) }
 
-// LoRaInterfererWaveform runs a live LoRa modulator and resamples its
-// packet to a victim link's rate, for use with NewInterfererStage.
-func LoRaInterfererWaveform(p LoRaParams, payload []byte, dstRate float64) (Samples, error) {
-	return scenario.LoRaInterfererWaveform(p, payload, dstRate)
-}
-
-// BLEInterfererWaveform runs a live GFSK modulator on an advertising
-// channel and resamples the beacon to a victim link's rate.
-func BLEInterfererWaveform(b Beacon, sps, advChannel int, dstRate float64) (Samples, error) {
-	return scenario.BLEInterfererWaveform(b, sps, advChannel, dstRate)
-}
-
 // Beacon is a BLE non-connectable advertisement.
 type Beacon = ble.Beacon
-
-// Advertiser transmits a beacon across the three advertising channels.
-type Advertiser = ble.Advertiser
-
-// NewAdvertiser returns an advertiser for a beacon at the given samples
-// per symbol (4 matches the radio's 4 MHz interface at 1 Mbps).
-func NewAdvertiser(b Beacon, sps int) (*Advertiser, error) {
-	return ble.NewAdvertiser(b, sps)
-}
-
-// BLEDemodulator is the discriminator receiver used to verify beacons.
-type BLEDemodulator = ble.Demodulator
-
-// NewBLEDemodulator returns a beacon receiver.
-func NewBLEDemodulator(sps int) (*BLEDemodulator, error) { return ble.NewDemodulator(sps) }
 
 // Design is a synthesized FPGA configuration with its resource footprint.
 type Design = fpga.Design
@@ -535,66 +473,19 @@ func NewConcurrentTransmitter(sampleRate float64, p LoRaParams) (*ConcurrentTran
 	return concurrent.NewTransmitter(sampleRate, p)
 }
 
-// LoRaWANSession is a TTN-compatible MAC security context (ABP).
-type LoRaWANSession = lorawan.Session
-
-// NewABPSession returns a personalized (ABP) LoRaWAN session.
-func NewABPSession(addr uint32, nwkSKey, appSKey [16]byte) *LoRaWANSession {
-	return lorawan.NewABPSession(lorawan.DevAddr(addr), nwkSKey, appSKey)
-}
-
-// LoRaWANFrame is a LoRaWAN data message.
-type LoRaWANFrame = lorawan.DataFrame
-
 // AdaptSF selects the fastest spreading factor with the requested link
 // margin at an observed RSSI — the §7 rate-adaptation primitive. It uses
-// the same radio profile as LoRaSensitivityDBm.
+// the same radio profile as NewLoRaModem.
 func AdaptSF(rssiDBm, bwHz, marginDB float64) int {
 	return lora.AdaptSF(rssiDBm, bwHz, loRaRadio.NoiseFigureDB, marginDB)
-}
-
-// Ranger measures range by multi-carrier phase (§7 localization).
-type Ranger = localize.Ranger
-
-// NewRanger returns a ranger over the given carrier frequencies.
-func NewRanger(freqs []float64, samplesPerTone int) (*Ranger, error) {
-	return localize.NewRanger(freqs, samplesPerTone)
-}
-
-// Anchor is a reference node at a known position.
-type Anchor = localize.Anchor
-
-// LocalizationSystem is a distributed set of ranging anchors.
-type LocalizationSystem = localize.System
-
-// Trilaterate solves 2D position from anchor ranges.
-func Trilaterate(anchors []Anchor, ranges []float64) (x, y float64, err error) {
-	return localize.Trilaterate(anchors, ranges)
 }
 
 // BackscatterConfig describes a backscatter link (§7 low-power readers).
 type BackscatterConfig = backscatter.Config
 
-// BackscatterTag models a reflecting endpoint.
-type BackscatterTag = backscatter.Tag
-
-// BackscatterReader decodes tag bits from the platform's I/Q stream.
-type BackscatterReader = backscatter.Reader
-
-// NewBackscatterReader returns a reader for the configuration.
-func NewBackscatterReader(c BackscatterConfig) (*BackscatterReader, error) {
-	return backscatter.NewReader(c)
-}
-
 // DefaultBackscatterConfig is a 100 kHz subcarrier, 10 kbps link at the
 // platform's 4 MHz interface.
 func DefaultBackscatterConfig() BackscatterConfig { return backscatter.DefaultConfig() }
-
-// BackscatterExcite produces the exciter tone (the Fig. 8 single-tone
-// generator).
-func BackscatterExcite(c BackscatterConfig, samples int) Samples {
-	return backscatter.Excite(c, samples)
-}
 
 // BroadcastOTASession programs a whole fleet with the §7 broadcast MAC.
 type BroadcastOTASession = ota.BroadcastSession
@@ -680,8 +571,8 @@ func ParseFaultSpec(s string) (FaultSpec, error) { return fault.Parse(s) }
 func NewFaultPlan(spec FaultSpec, seed int64) *FaultPlan { return fault.NewPlan(spec, seed) }
 
 // OTAHealConfig tunes the self-healing broadcast campaign protocol:
-// fault plan, per-node retry budgets, repair-round and backoff caps, and a
-// cancellation hook. The zero value is runnable.
+// fault plan, per-node retry budget and a cancellation hook. The zero
+// value is runnable.
 type OTAHealConfig = ota.HealConfig
 
 // OTAFailureClass is the per-node failure taxonomy of a broadcast

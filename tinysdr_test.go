@@ -3,11 +3,11 @@ package tinysdr
 import (
 	"bytes"
 	"testing"
-
-	"github.com/uwsdr/tinysdr/internal/lorawan"
 )
 
-// TestPublicAPIQuickstart exercises the doc-comment example end to end.
+// TestPublicAPIQuickstart runs a device-to-device LoRa packet through a
+// composed channel: the TX board's waveform crosses a gain and noise
+// scenario 6 dB above sensitivity and the RX board decodes it.
 func TestPublicAPIQuickstart(t *testing.T) {
 	tx := New(Config{ID: 1})
 	rx := New(Config{ID: 2})
@@ -22,8 +22,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := NewChannel(42, LoRaNoiseFloorDBm(p))
-	pkt, err := rx.ReceiveLoRa(ch.Apply(air, -120))
+	pkt, err := rx.ReceiveLoRa(loRaChannel(t, p, -120, 42).Apply(air))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +31,25 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// loRaChannel is a gain and noise scenario at rssiDBm over the receiver
+// floor of a LoRa modem for p, reset to (seed, 0).
+func loRaChannel(t *testing.T, p LoRaParams, rssiDBm float64, seed int64) *ChannelScenario {
+	t.Helper()
+	m, err := NewLoRaModem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewChannelScenario(NewGainStage(rssiDBm), NewNoiseStage(m.NoiseFloorDBm()))
+	sc.Reset(seed, 0)
+	return sc
+}
+
 func TestPublicAPISensitivityAnchors(t *testing.T) {
-	if got := LoRaSensitivityDBm(8, 125e3); got < -126.5 || got > -125.5 {
+	m, err := NewLoRaModem(DefaultLoRaParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SensitivityDBm(); got < -126.5 || got > -125.5 {
 		t.Errorf("SF8/BW125 sensitivity = %v, want -126", got)
 	}
 }
@@ -71,27 +87,6 @@ func TestPublicAPITestbed(t *testing.T) {
 	tb := NewTestbed(5)
 	if len(tb.Nodes) != 20 {
 		t.Fatalf("testbed nodes = %d", len(tb.Nodes))
-	}
-}
-
-func TestPublicAPILoRaWAN(t *testing.T) {
-	var nwk, app [16]byte
-	nwk[0], app[0] = 1, 2
-	s := NewABPSession(0x26000001, nwk, app)
-	f := &LoRaWANFrame{
-		MType: lorawan.MTypeUnconfirmedUp, DevAddr: s.DevAddr,
-		FPort: 1, FRMPayload: []byte("up"),
-	}
-	phy, err := f.Encode(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lorawan.DecodeData(s, phy, lorawan.Uplink, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.FRMPayload, []byte("up")) {
-		t.Fatal("payload mismatch")
 	}
 }
 
