@@ -63,12 +63,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full campaign result as JSON")
 	faults := flag.String("faults", "",
 		"deterministic fault injection spec (terms: crash/flashfail/bitrot/duty=P, "+
-			"desync/apoutage=P[:frames]); non-empty selects the self-healing broadcast protocol")
+			"desync/apoutage=P[:frames]); broadcast mode only")
 	quorum := flag.Float64("quorum", 0,
 		"completion fraction at which the campaign counts as met (0 = all-or-nothing)")
 	retryBudget := flag.Int("retry-budget", 0,
-		"per-node repair transmission cap in the self-healing protocol (0 = protocol default; "+
-			"setting it selects the self-healing protocol like -faults)")
+		"per-node repair transmission cap in broadcast mode (0 = protocol default)")
 	flag.Parse()
 
 	if *serve != "" {

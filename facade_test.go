@@ -292,7 +292,7 @@ func TestFacadeBroadcastOTA(t *testing.T) {
 		targets = append(targets, BroadcastTarget{Node: d.OTA, RSSIdBm: -85})
 	}
 	sess := NewBroadcastOTASession(targets, 2)
-	rep, err := sess.ProgramFleet(u, nil)
+	rep, err := sess.ProgramFleet(u, nil, OTAHealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,14 +38,14 @@ func AblationBroadcast(cfg Config) (*Result, error) {
 		sequential += r.Report.Duration
 	}
 
-	// Broadcast: shared transfer plus per-node repair.
+	// Broadcast: shared transfer plus NACK-driven per-node repair.
 	campus2 := testbed.NewCampus(cfg.Seed)
 	targets := make([]ota.BroadcastTarget, 0, len(campus2.Nodes))
 	for _, n := range campus2.Nodes {
 		targets = append(targets, ota.BroadcastTarget{Node: n.OTA, RSSIdBm: campus2.RSSI(n)})
 	}
 	sess := ota.NewBroadcastSession(targets, cfg.Seed+1)
-	brep, err := sess.ProgramFleet(u, nil)
+	brep, err := sess.ProgramFleet(u, nil, ota.HealConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 
 // DefaultChaosFaults is the base fault mix the chaos sweep scales when the
 // CLI does not pass -faults: a little of every injectable kind, at rates
-// where the self-healing protocol keeps most of the fleet programmed at 1x
+// where the broadcast protocol keeps most of the fleet programmed at 1x
 // and visibly degrades by 4x.
 const DefaultChaosFaults = "crash=0.0005,flashfail=0.01,bitrot=0.002,desync=0.03:4,duty=0.05,apoutage=0.002:8"
 
@@ -22,11 +22,11 @@ const ChaosQuorum = 0.8
 
 // Chaos sweeps fault intensity against campaign completion and repair
 // air-time overhead: the base fault spec (Config.Faults or the default mix)
-// is scaled across intensities and each point runs a self-healing broadcast
-// campaign (multi-round NACK repair, backoff, retry budgets) against a
-// ChaosQuorum quorum. The 0x point runs the same healing protocol with no
-// faults, so the overhead column isolates what the faults — not the
-// protocol — cost in air bytes.
+// is scaled across intensities and each point runs a broadcast campaign
+// (multi-round NACK repair, backoff, retry budgets) against a ChaosQuorum
+// quorum. The 0x point runs the same campaign with no faults, so the
+// overhead column isolates what the faults — not the protocol — cost in
+// air bytes.
 func Chaos(cfg Config) (*Result, error) {
 	base := cfg.Faults
 	if base == "" {
@@ -55,8 +55,7 @@ func Chaos(cfg Config) (*Result, error) {
 			Mode:      fleet.ModeBroadcast,
 			Workers:   resolveWorkers(cfg.Workers),
 			Quorum:    ChaosQuorum,
-			// A fixed nonzero budget keeps the 0x point on the healing
-			// protocol (so overhead compares like with like) and caps how
+			// One fixed budget for every point, 0x included, caps how
 			// hard the repair loop fights for a dying node.
 			RetryBudget: 2048,
 		}

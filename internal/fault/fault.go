@@ -50,12 +50,18 @@ const (
 	KindAPOutage
 )
 
-// Defaults for the burst-shaped kinds when the grammar omits a length.
+// Burst lengths for the burst-shaped kinds.
 const (
-	// DefaultDesyncFrames is the frames lost per RX desync burst.
+	// DefaultDesyncFrames is the frames lost per RX desync burst when the
+	// grammar omits a length.
 	DefaultDesyncFrames = 4
-	// DefaultOutageFrames is the frames per AP outage window.
+	// DefaultOutageFrames is the frames per AP outage window when the
+	// grammar omits a length.
 	DefaultOutageFrames = 8
+	// MaxBurstFrames caps both burst lengths. Desynced and APDown scan
+	// one window of that many frames per query, so the cap bounds what a
+	// spec from outside (a campaign's faults field) can cost.
+	MaxBurstFrames = 1024
 )
 
 // Spec describes fault intensities. The zero value injects nothing.
@@ -90,7 +96,8 @@ func (s Spec) Enabled() bool {
 		s.DesyncProb > 0 || s.DutyCycleOff > 0 || s.APOutageProb > 0
 }
 
-// Validate rejects probabilities outside [0, 1] and negative lengths.
+// Validate rejects probabilities outside [0, 1] (NaN included) and burst
+// lengths outside [0, MaxBurstFrames].
 func (s Spec) Validate() error {
 	probs := []struct {
 		name string
@@ -101,12 +108,14 @@ func (s Spec) Validate() error {
 		{"duty", s.DutyCycleOff}, {"apoutage", s.APOutageProb},
 	}
 	for _, p := range probs {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("fault: %s probability %g outside [0, 1]", p.name, p.v)
 		}
 	}
-	if s.DesyncFrames < 0 || s.APOutageFrames < 0 {
-		return fmt.Errorf("fault: negative burst length")
+	for _, n := range []int{s.DesyncFrames, s.APOutageFrames} {
+		if n < 0 || n > MaxBurstFrames {
+			return fmt.Errorf("fault: burst length %d outside [0, %d]", n, MaxBurstFrames)
+		}
 	}
 	return nil
 }
@@ -140,10 +149,11 @@ func (s Spec) Scale(x float64) Spec {
 //
 // e.g. "crash=0.02,flashfail=0.01,desync=0.05:4". Like the scenario
 // grammar, unknown terms and trailing arguments are rejected, never
-// silently dropped.
+// silently dropped. An empty string and "none" (what String renders for
+// the zero spec) parse as the zero spec.
 func Parse(s string) (Spec, error) {
 	spec := Spec{}
-	if strings.TrimSpace(s) == "" {
+	if s = strings.TrimSpace(s); s == "" || s == "none" {
 		return spec, nil
 	}
 	for _, part := range strings.Split(s, ",") {

@@ -7,25 +7,48 @@ import (
 	"testing"
 )
 
+// validSpecs parse and survive a String round trip.
+var validSpecs = []string{
+	"crash=0.02",
+	"crash=0.02,flashfail=0.01,bitrot=0.002,desync=0.05:4,duty=0.1,apoutage=0.01:8",
+	"desync=0.05:7",
+	"apoutage=0.3:2",
+	"desync=0.5:1024", // the burst cap itself
+	"",
+	"none",
+}
+
+// invalidSpecs must be rejected.
+var invalidSpecs = []string{
+	"crash",                 // no value
+	"crash=",                // empty value
+	"crash=2",               // probability out of range
+	"crash=-0.1",            // negative
+	"crash=NaN",             // fails both range tests
+	"crash=0.1:4",           // trailing arg on a scalar term
+	"desync=0.1:4:9",        // too many args
+	"desync=0.1:0",          // zero-length burst
+	"desync=0.1:1025",       // burst over the cap
+	"apoutage=0.1:10000000", // burst far over the cap
+	"warp=0.5",              // unknown term
+	"crash=zero",            // not a number
+	"apoutage=0.1:-3",       // negative burst
+	"crash=0.1,,duty=2",     // second term out of range
+	"none,crash=0.1",        // none only stands alone
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"crash=0.02",
-		"crash=0.02,flashfail=0.01,bitrot=0.002,desync=0.05:4,duty=0.1,apoutage=0.01:8",
-		"desync=0.05:7",
-		"apoutage=0.3:2",
-		"",
-	}
-	for _, in := range cases {
+	for _, in := range validSpecs {
 		spec, err := Parse(in)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", in, err)
 		}
 		out := spec.String()
 		back, err := Parse(out)
-		if err != nil && out != "none" {
+		if err != nil {
 			t.Fatalf("Parse(String(%q)=%q): %v", in, out, err)
 		}
-		if out != "none" && back != spec {
+		if back != spec {
 			t.Errorf("round trip %q -> %q -> %+v != %+v", in, out, back, spec)
 		}
 	}
@@ -35,24 +58,37 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejects(t *testing.T) {
-	bad := []string{
-		"crash",             // no value
-		"crash=",            // empty value
-		"crash=2",           // probability out of range
-		"crash=-0.1",        // negative
-		"crash=0.1:4",       // trailing arg on a scalar term
-		"desync=0.1:4:9",    // too many args
-		"desync=0.1:0",      // zero-length burst
-		"warp=0.5",          // unknown term
-		"crash=zero",        // not a number
-		"apoutage=0.1:-3",   // negative burst
-		"crash=0.1,,duty=2", // second term out of range
-	}
-	for _, in := range bad {
+	for _, in := range invalidSpecs {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted", in)
 		}
 	}
+}
+
+// FuzzParse checks the grammar against its own renderer: whatever Parse
+// accepts, String renders as text that Parse accepts again and renders
+// identically.
+func FuzzParse(f *testing.F) {
+	for _, s := range validSpecs {
+		f.Add(s)
+	}
+	for _, s := range invalidSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := Parse(in)
+		if err != nil {
+			return
+		}
+		out := spec.String()
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q is rejected: %v", in, out, err)
+		}
+		if again := back.String(); again != out {
+			t.Fatalf("Parse(%q) renders %q, which re-renders as %q", in, out, again)
+		}
+	})
 }
 
 func TestScale(t *testing.T) {

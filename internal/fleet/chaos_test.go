@@ -127,23 +127,22 @@ func TestQuorumDegradationMatrix(t *testing.T) {
 }
 
 func TestHealingDisabledKeepsLegacyResults(t *testing.T) {
-	// The back-compat bar: with no faults and no retry budget the campaign
-	// must take the historical single-pass broadcast path — byte-identical
-	// results to a spec that never heard of the chaos fields.
-	legacy, err := Run(smallSpec(40, ModeBroadcast, 0))
+	// A quorum only judges the finished campaign: setting it alone must
+	// leave every per-node result byte-identical to a spec without one.
+	base, err := Run(smallSpec(40, ModeBroadcast, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withFields := smallSpec(40, ModeBroadcast, 0)
-	withFields.Quorum = 0.9 // quorum alone must not switch protocols
+	withFields.Quorum = 0.9
 	quorumOnly, err := Run(withFields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(legacy.Nodes)
+	a, _ := json.Marshal(base.Nodes)
 	b, _ := json.Marshal(quorumOnly.Nodes)
 	if !bytes.Equal(a, b) {
-		t.Error("a quorum-only spec changed per-node results on the legacy path")
+		t.Error("a quorum-only spec changed per-node results")
 	}
 }
 

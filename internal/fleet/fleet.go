@@ -33,7 +33,7 @@ const (
 	// acknowledged sessions; a cell's time is the sum of its sessions.
 	ModeUnicast Mode = "unicast"
 	// ModeBroadcast programs each cell with the §7 broadcast MAC: every
-	// chunk once to BroadcastAddr, then per-node unicast repair.
+	// chunk once to BroadcastAddr, then NACK-driven per-node repair.
 	ModeBroadcast Mode = "broadcast"
 )
 
@@ -76,24 +76,18 @@ type Spec struct {
 	Workers int `json:"workers,omitempty"`
 
 	// Faults injects deterministic faults from the internal/fault grammar
-	// (e.g. "crash=0.02,flashfail=0.01,desync=0.05:4"). A non-empty spec
-	// switches broadcast cells onto the self-healing campaign protocol
-	// (multi-round NACK repair, backoff, retry budgets); empty keeps the
-	// historical single-pass protocol byte-identical.
+	// (e.g. "crash=0.02,flashfail=0.01,desync=0.05:4") into broadcast
+	// cells; empty injects none.
 	Faults string `json:"faults,omitempty"`
 	// Quorum is the node-completion fraction at which the campaign counts
 	// as met; 0 means all-or-nothing (every node must program). With a
 	// quorum below 1 a chaos campaign degrades gracefully instead of
 	// aborting.
 	Quorum float64 `json:"quorum,omitempty"`
-	// RetryBudget caps per-node repair transmissions in the self-healing
-	// protocol; 0 means the protocol default. Setting it (like Faults)
-	// selects the self-healing protocol for broadcast cells.
+	// RetryBudget caps per-node repair transmissions in broadcast cells;
+	// 0 means the protocol default.
 	RetryBudget int `json:"retry_budget,omitempty"`
 }
-
-// healing reports whether broadcast cells run the self-healing protocol.
-func (s Spec) healing() bool { return s.Faults != "" || s.RetryBudget != 0 }
 
 // normalize fills defaults and validates, returning the runnable spec.
 func (s Spec) normalize() (Spec, error) {
@@ -139,7 +133,7 @@ func (s Spec) normalize() (Spec, error) {
 	if s.RetryBudget < 0 {
 		return s, fmt.Errorf("fleet: retry budget %d", s.RetryBudget)
 	}
-	if s.healing() && s.Mode != ModeBroadcast {
+	if (s.Faults != "" || s.RetryBudget != 0) && s.Mode != ModeBroadcast {
 		return s, fmt.Errorf("fleet: fault injection and retry budgets need mode %q", ModeBroadcast)
 	}
 	return s, nil
@@ -246,8 +240,8 @@ func Run(spec Spec) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: a canceled context aborts the
-// campaign between shards and between self-healing repair rounds, so a
-// hung or heavily-faulted campaign cannot run away from its controller.
+// campaign between shards and between broadcast repair rounds, so a hung
+// or heavily-faulted campaign cannot run away from its controller.
 func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	return RunResumable(ctx, spec, nil, nil)
 }
@@ -431,29 +425,19 @@ func runShard(ctx context.Context, spec Spec, u *ota.Update, design *fpga.Design
 			n.PMU.Ledger().Reset()
 			targets[i] = ota.BroadcastTarget{Node: n.OTA, RSSIdBm: campus.RSSI(n)}
 		}
-		sess := ota.NewBroadcastSession(targets, protoSeed)
-		var rep *ota.BroadcastReport
-		var err error
-		if spec.healing() {
-			// Chaos / self-healing path: the fault plan and the NACK-driven
-			// repair protocol. Faults may be empty (budget-only specs run
-			// the healing protocol with a nil plan).
-			var plan *fault.Plan
-			if spec.Faults != "" {
-				fspec, ferr := fault.Parse(spec.Faults)
-				if ferr != nil {
-					return out, ferr
-				}
-				plan = fault.NewPlan(fspec, faultSeed(spec.Seed, shard))
+		var plan *fault.Plan
+		if spec.Faults != "" {
+			fspec, err := fault.Parse(spec.Faults)
+			if err != nil {
+				return out, err
 			}
-			rep, err = sess.ProgramFleetHealing(u, design, ota.HealConfig{
-				Plan:        plan,
-				RetryBudget: spec.RetryBudget,
-				Canceled:    func() bool { return ctx.Err() != nil },
-			})
-		} else {
-			rep, err = sess.ProgramFleet(u, design)
+			plan = fault.NewPlan(fspec, faultSeed(spec.Seed, shard))
 		}
+		rep, err := ota.NewBroadcastSession(targets, protoSeed).ProgramFleet(u, design, ota.HealConfig{
+			Plan:        plan,
+			RetryBudget: spec.RetryBudget,
+			Canceled:    func() bool { return ctx.Err() != nil },
+		})
 		if err != nil {
 			return out, fmt.Errorf("fleet: shard %d: %w", shard, err)
 		}

@@ -162,6 +162,31 @@ func TestHTTPCreateRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestHTTPCreateRejectsOverlongFaultBurst pins the bound on the fault
+// grammar at the API edge: fault-plan queries scan one burst window per
+// frame, so a burst past fault.MaxBurstFrames is refused with 400 rather
+// than left to hold the run slot.
+func TestHTTPCreateRejectsOverlongFaultBurst(t *testing.T) {
+	srv := NewServer()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, faults := range []string{"desync=0.1:100000", "apoutage=0.01:1025"} {
+		body, _ := json.Marshal(Spec{Seed: 1, Nodes: 2, ImageKB: 8, Faults: faults})
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("faults %q: status %d, want 400", faults, resp.StatusCode)
+		}
+	}
+	if n := len(srv.List()); n != 0 {
+		t.Errorf("over-long bursts created %d campaigns", n)
+	}
+}
+
 func TestHTTPList(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())

@@ -1,37 +1,22 @@
 package ota
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
-	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/lora"
-	"github.com/uwsdr/tinysdr/internal/mcu"
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
 // Broadcast programming (§7, "Better programming interface and protocols"):
 // instead of programming nodes sequentially, the AP broadcasts every data
-// chunk once to the whole fleet, then runs a short per-node repair phase
-// for the chunks each node missed. Fleet programming time becomes one
-// transfer plus loss repair instead of N sequential transfers — the
-// extension the paper proposes to reduce network programming time.
+// chunk once to the whole fleet, then repairs the chunks each node missed
+// in NACK-driven rounds (ProgramFleet, healing.go). Fleet programming time
+// becomes one transfer plus loss repair instead of N sequential transfers —
+// the extension the paper proposes to reduce network programming time.
 
 // BroadcastAddr is the all-nodes device address for broadcast data frames.
 const BroadcastAddr = 0xFFFF
-
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	//lint:detok order-insensitive: the keys are sorted before any caller iterates them
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // BroadcastTarget is one node in a broadcast session with its link quality.
 type BroadcastTarget struct {
@@ -45,9 +30,6 @@ type BroadcastTarget struct {
 type BroadcastSession struct {
 	Targets []BroadcastTarget
 	PHY     lora.Params
-	// MaxRepairRounds bounds repair sweeps per node before the session
-	// fails.
-	MaxRepairRounds int
 
 	rng *rand.Rand
 }
@@ -55,10 +37,9 @@ type BroadcastSession struct {
 // NewBroadcastSession returns a broadcast session over the given fleet.
 func NewBroadcastSession(targets []BroadcastTarget, seed int64) *BroadcastSession {
 	return &BroadcastSession{
-		Targets:         targets,
-		PHY:             BackboneParams(),
-		MaxRepairRounds: 20,
-		rng:             rand.New(rand.NewSource(seed)),
+		Targets: targets,
+		PHY:     BackboneParams(),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -94,7 +75,8 @@ const (
 // not abort the rest of the fleet.
 type BroadcastNodeResult struct {
 	NodeID uint16
-	// Repairs counts the unicast repair transmissions spent on this node.
+	// Repairs counts the AP transmissions charged to this node after the
+	// broadcast phase: re-announces, NACK polls and repair chunks.
 	Repairs int
 	// Duration is this node's own elapsed time over the session, measured
 	// on its own clock. The fleet advances in lockstep, so a failed node
@@ -108,7 +90,7 @@ type BroadcastNodeResult struct {
 	// Class is the failure taxonomy for Err (FailNone on success).
 	Class FailureClass
 	// Crashes and FlashFaults count the injected faults this node
-	// absorbed (healing campaigns only; zero elsewhere).
+	// absorbed (zero without a fault plan).
 	Crashes     int
 	FlashFaults int
 }
@@ -122,11 +104,13 @@ type BroadcastReport struct {
 	FleetTime time.Duration
 	// BroadcastPackets is the number of chunks sent in the shared phase.
 	BroadcastPackets int
-	// RepairPackets counts per-node repair transmissions.
+	// RepairPackets counts the transmissions charged to nodes after the
+	// broadcast phase (the sum of every node's Repairs).
 	RepairPackets int
-	// AirBytes is the AP-transmitted data bytes (broadcast chunks plus
-	// repairs, each counted with frame overhead) — comparable to the sum
-	// of unicast Report.AirBytes.
+	// AirBytes is the AP-transmitted data bytes: broadcast and repair
+	// chunks, each counted with frame overhead. Announces and NACK polls
+	// are control frames and are not counted, so the total is comparable
+	// to the sum of unicast Report.AirBytes.
 	AirBytes int
 	// PerNode holds each node's outcome, in Targets order.
 	PerNode []BroadcastNodeResult
@@ -170,157 +154,4 @@ func (s *BroadcastSession) advanceAll(d time.Duration) {
 	for _, t := range s.Targets {
 		t.Node.Clock.Advance(d)
 	}
-}
-
-// ProgramFleet runs the broadcast protocol end to end. design accompanies
-// FPGA updates (nil for MCU targets), as in Session.Program.
-//
-// Failures are per node: a node that errors during announce, transfer, or
-// finish — or exhausts MaxRepairRounds — is recorded in its
-// BroadcastNodeResult and the rest of the fleet keeps going, matching the
-// semantics of testbed.Campus.ProgramAll. Only protocol-building errors
-// (empty fleet, unmarshalable manifest) fail the whole session.
-func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design) (*BroadcastReport, error) {
-	if len(s.Targets) == 0 {
-		return nil, fmt.Errorf("ota: empty fleet")
-	}
-	rep := &BroadcastReport{PerNode: make([]BroadcastNodeResult, len(s.Targets))}
-	// Per-node start times make FleetTime correct even when the fleet's
-	// clocks begin skewed: every phase advances all clocks in lockstep,
-	// and the fleet time is the largest per-node elapsed time.
-	starts := make([]time.Duration, len(s.Targets))
-	for i, t := range s.Targets {
-		rep.PerNode[i].NodeID = t.Node.ID
-		starts[i] = t.Node.Clock.Now()
-	}
-	fail := func(i int, err error, class FailureClass) {
-		if rep.PerNode[i].Err == nil {
-			rep.PerNode[i].Err = err
-			rep.PerNode[i].Class = class
-		}
-	}
-
-	// Announce: per-node request/ready so every node erases staging and
-	// enters update mode. Sequential, but one exchange per node. The whole
-	// fleet shares the air, so every clock advances through each exchange.
-	m := u.Manifest()
-	mb, err := m.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	reqTime := s.PHY.TimeOnAir(reqPayloadLen) + apProcessing +
-		radio.RXToTXTime + nodeProcessing + s.PHY.TimeOnAir(ackPayloadLen)
-	for i, t := range s.Targets {
-		d, err := t.Node.Backbone.Transition(radio.StateRX)
-		if err != nil {
-			// The node never entered the transfer: never reachable.
-			fail(i, err, FailUnreachable)
-		} else {
-			s.advanceAll(d)
-			t.Node.MCU.SetState(mcu.StateIdle)
-			req := &Frame{Type: FrameProgramRequest, Device: t.Node.ID, Payload: mb}
-			if _, err := t.Node.HandleProgramRequest(req); err != nil {
-				fail(i, err, FailUnreachable)
-			}
-		}
-		// The AP spends the request/ready airtime whether or not the node
-		// played along — a failed exchange ends in an AP timeout, exactly
-		// as in the unicast Session.exchange.
-		s.advanceAll(reqTime)
-	}
-
-	// Broadcast phase: every chunk once, fleet-wide, no ACKs, addressed to
-	// BroadcastAddr so a single transmission serves every listener. Each
-	// node independently keeps or misses each packet.
-	chunkTime := s.PHY.TimeOnAir(DataPacketSize) + apProcessing
-	missing := make([]map[int]bool, len(s.Targets))
-	for i := range missing {
-		missing[i] = map[int]bool{}
-	}
-	for seq, chunk := range u.Chunks {
-		s.advanceAll(chunkTime)
-		rep.BroadcastPackets++
-		rep.AirBytes += len(chunk) + frameOverhead
-		data := &Frame{Type: FrameData, Device: BroadcastAddr, Seq: uint16(seq), Payload: chunk}
-		for i, t := range s.Targets {
-			if rep.PerNode[i].Err != nil {
-				continue
-			}
-			if s.lost(t.RSSIdBm, len(chunk)+frameOverhead) {
-				missing[i][seq] = true
-				continue
-			}
-			if _, err := t.Node.HandleData(data); err != nil {
-				fail(i, err, FailProtocol)
-			}
-		}
-	}
-
-	// Repair phase: unicast each node's missing chunks with ACKs, in
-	// sequence order so the simulation stays deterministic. A node that
-	// exhausts its repair rounds is marked failed; the sweep moves on.
-	repairTime := chunkTime + radio.RXToTXTime + nodeProcessing + s.PHY.TimeOnAir(ackPayloadLen)
-	for i, t := range s.Targets {
-		if rep.PerNode[i].Err != nil {
-			continue
-		}
-		gaps := sortedKeys(missing[i])
-		for round := 0; len(gaps) > 0; round++ {
-			if round >= s.MaxRepairRounds {
-				// The node did take broadcast data; it failed after
-				// repairs, which is not the same as never reachable.
-				fail(i, fmt.Errorf("ota: node %d not repaired after %d rounds", t.Node.ID, round), FailExhausted)
-				break
-			}
-			var still []int
-			for _, seq := range gaps {
-				s.advanceAll(repairTime)
-				rep.RepairPackets++
-				rep.PerNode[i].Repairs++
-				rep.AirBytes += len(u.Chunks[seq]) + frameOverhead
-				if s.lost(t.RSSIdBm, len(u.Chunks[seq])+frameOverhead) {
-					still = append(still, seq)
-					continue
-				}
-				// The node has the chunk even if its ACK is lost — the AP
-				// re-sends and HandleData deduplicates, matching the
-				// unicast exchange semantics.
-				f := &Frame{Type: FrameData, Device: t.Node.ID, Seq: uint16(seq), Payload: u.Chunks[seq]}
-				if _, err := t.Node.HandleData(f); err != nil {
-					fail(i, err, FailProtocol)
-					still = nil
-					break
-				}
-				if s.lost(t.RSSIdBm, ackPayloadLen) {
-					still = append(still, seq)
-				}
-			}
-			gaps = still
-		}
-	}
-
-	// Finish marker, then every node decompresses and reprograms. The
-	// finish phases run concurrently in the field, so each node's clock
-	// advances independently and the fleet time follows the slowest.
-	s.advanceAll(s.PHY.TimeOnAir(ackPayloadLen) + apProcessing)
-	for i, t := range s.Targets {
-		if rep.PerNode[i].Err != nil {
-			rep.PerNode[i].Duration = t.Node.Clock.Now() - starts[i]
-			continue
-		}
-		stats, err := t.Node.Finish(design)
-		if err != nil {
-			fail(i, err, FailProtocol)
-		} else {
-			rep.PerNode[i].Stats = stats
-		}
-		rep.PerNode[i].Duration = t.Node.Clock.Now() - starts[i]
-	}
-
-	for i := range s.Targets {
-		if d := rep.PerNode[i].Duration; d > rep.FleetTime {
-			rep.FleetTime = d
-		}
-	}
-	return rep, nil
 }

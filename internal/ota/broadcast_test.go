@@ -2,10 +2,12 @@ package ota
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/fpga"
+	"github.com/uwsdr/tinysdr/internal/power"
 )
 
 func broadcastFleet(t *testing.T, n int, rssi float64) []BroadcastTarget {
@@ -26,7 +28,7 @@ func TestBroadcastDeliversExactImages(t *testing.T) {
 	}
 	targets := broadcastFleet(t, 5, -90)
 	sess := NewBroadcastSession(targets, 1)
-	rep, err := sess.ProgramFleet(u, nil)
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +47,9 @@ func TestBroadcastDeliversExactImages(t *testing.T) {
 		if p.Err != nil {
 			t.Errorf("node %d failed: %v", p.NodeID, p.Err)
 		}
+		if p.Class != FailNone {
+			t.Errorf("node %d class %q on success", p.NodeID, p.Class)
+		}
 		if p.Duration <= 0 {
 			t.Errorf("node %d duration = %v", p.NodeID, p.Duration)
 		}
@@ -54,6 +59,51 @@ func TestBroadcastDeliversExactImages(t *testing.T) {
 	}
 	if rep.AirBytes == 0 {
 		t.Error("no air bytes accounted")
+	}
+}
+
+func TestBroadcastLosslessFleetReport(t *testing.T) {
+	// On a fleet whose links lose nothing, the NACK-repair protocol must
+	// reproduce the single-pass broadcast protocol it replaced (one
+	// announce per node, one pass, no repair) exactly: the values below
+	// were recorded from that protocol, including each node's ledger
+	// energy with its radio woken before the request airtime.
+	img := fpga.SynthMCUFirmware(16*1024, 3)
+	u, err := BuildUpdate(TargetMCU, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rssis := []float64{-60, -85, -100, -110}
+	targets := make([]BroadcastTarget, len(rssis))
+	pmus := make([]*power.PMU, len(rssis))
+	for i, rssi := range rssis {
+		node, pmu := testNode(t, uint16(i+1))
+		targets[i] = BroadcastTarget{Node: node, RSSIdBm: rssi}
+		pmus[i] = pmu
+	}
+	rep, err := NewBroadcastSession(targets, 1).ProgramFleet(u, nil, HealConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fleetTime = 9943679661 * time.Nanosecond
+	if rep.FleetTime != fleetTime || rep.AirBytes != 9697 ||
+		rep.BroadcastPackets != 162 || rep.RepairPackets != 0 {
+		t.Errorf("report: FleetTime %d ns, AirBytes %d, BroadcastPackets %d, RepairPackets %d; "+
+			"want %d ns, 9697, 162, 0", rep.FleetTime, rep.AirBytes, rep.BroadcastPackets,
+			rep.RepairPackets, fleetTime)
+	}
+	energies := []float64{0.4177922749823436, 0.4163624514819629, 0.41493262798158215, 0.41350280448120136}
+	for i, p := range rep.PerNode {
+		if p.Err != nil || p.Duration != fleetTime || p.Repairs != 0 {
+			t.Errorf("node %d: Duration %d ns, Repairs %d, Err %v; want %d ns, 0, nil",
+				p.NodeID, p.Duration, p.Repairs, p.Err, fleetTime)
+		}
+		// A relative tolerance keeps the pin valid where the compiler
+		// fuses multiply-adds; one request airtime booked in the wrong
+		// radio state moves a node's energy by about 0.3%.
+		if got := pmus[i].Ledger().Energy(); math.Abs(got-energies[i]) > 1e-12*energies[i] {
+			t.Errorf("node %d energy %.16g J, want %.16g J", p.NodeID, got, energies[i])
+		}
 	}
 }
 
@@ -94,7 +144,7 @@ func TestBroadcastRepairsLossyNodes(t *testing.T) {
 		{Node: strong, RSSIdBm: -80},
 		{Node: weak, RSSIdBm: -120}, // at sensitivity: ~16% packet loss
 	}, 2)
-	rep, err := sess.ProgramFleet(u, nil)
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +179,7 @@ func TestBroadcastBeatsSequentialOnFleets(t *testing.T) {
 
 	targets := broadcastFleet(t, fleet, -85)
 	bsess := NewBroadcastSession(targets, 3)
-	brep, err := bsess.ProgramFleet(u, nil)
+	brep, err := bsess.ProgramFleet(u, nil, HealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +199,7 @@ func TestBroadcastFPGAUpdate(t *testing.T) {
 	}
 	targets := broadcastFleet(t, 3, -85)
 	sess := NewBroadcastSession(targets, 4)
-	if _, err := sess.ProgramFleet(u, design); err != nil {
+	if _, err := sess.ProgramFleet(u, design, HealConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tg := range targets {
@@ -162,13 +212,13 @@ func TestBroadcastFPGAUpdate(t *testing.T) {
 func TestBroadcastEmptyFleetRejected(t *testing.T) {
 	u, _ := BuildUpdate(TargetMCU, fpga.SynthMCUFirmware(1024, 1))
 	sess := NewBroadcastSession(nil, 1)
-	if _, err := sess.ProgramFleet(u, nil); err == nil {
+	if _, err := sess.ProgramFleet(u, nil, HealConfig{}); err == nil {
 		t.Error("empty fleet accepted")
 	}
 }
 
 func TestBroadcastUnreachableNodeFailsAlone(t *testing.T) {
-	// One node out of repair rounds is a per-node failure, not a fleet
+	// One node out of retry budget is a per-node failure, not a fleet
 	// abort: the reachable nodes must still be programmed, matching the
 	// per-node semantics of Campus.ProgramAll.
 	img := fpga.SynthMCUFirmware(4096, 2)
@@ -179,8 +229,7 @@ func TestBroadcastUnreachableNodeFailsAlone(t *testing.T) {
 		{Node: dead, RSSIdBm: -140},
 		{Node: alive, RSSIdBm: -80},
 	}, 5)
-	sess.MaxRepairRounds = 3
-	rep, err := sess.ProgramFleet(u, nil)
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{RetryBudget: 3})
 	if err != nil {
 		t.Fatalf("fleet aborted for one bad node: %v", err)
 	}
@@ -207,7 +256,7 @@ func TestBroadcastFleetTimeWithSkewedClocks(t *testing.T) {
 		targets := broadcastFleet(t, 3, -90)
 		targets[1].Node.Clock.Advance(skew)
 		sess := NewBroadcastSession(targets, 8)
-		rep, err := sess.ProgramFleet(u, nil)
+		rep, err := sess.ProgramFleet(u, nil, HealConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +278,7 @@ func TestBroadcastMatchesUnicastImages(t *testing.T) {
 	const fleet = 4
 	targets := broadcastFleet(t, fleet, -100)
 	bsess := NewBroadcastSession(targets, 12)
-	if _, err := bsess.ProgramFleet(u, nil); err != nil {
+	if _, err := bsess.ProgramFleet(u, nil, HealConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +308,7 @@ func TestBroadcastDeterministic(t *testing.T) {
 	run := func() (int, float64) {
 		targets := broadcastFleet(t, 4, -117)
 		sess := NewBroadcastSession(targets, 9)
-		rep, err := sess.ProgramFleet(u, nil)
+		rep, err := sess.ProgramFleet(u, nil, HealConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,18 +1,17 @@
 package ota
 
-// Self-healing broadcast campaigns: the hardened form of the §7 broadcast
-// protocol for fleets that crash, lose flash writes and drop off the air
-// mid-transfer. Where ProgramFleet runs one broadcast pass plus per-node
-// ACKed repair, ProgramFleetHealing runs multi-round NACK-driven block
-// repair: after the shared broadcast phase the AP polls each incomplete
+// The §7 broadcast protocol, built for fleets that lose frames, crash,
+// lose flash writes and drop off the air mid-transfer. ProgramFleet
+// announces the update to every node, broadcasts every chunk once, then
+// runs multi-round NACK-driven block repair: the AP polls each incomplete
 // node for its missing-chunk bitmap, unicasts exactly those blocks without
 // per-chunk ACKs (the next round's poll reveals what stuck), re-announces
 // nodes that crashed and lost their transfer state, backs off
 // exponentially (capped) on nodes that make no progress, and stops
 // spending on a node once its retry budget is gone. Faults are injected
-// from a deterministic fault plan (internal/fault), so a chaos campaign's
-// report is a pure function of (spec, seed) — byte-identical at any
-// worker count.
+// from an optional deterministic fault plan (internal/fault), so a
+// campaign's report is a pure function of (spec, seed) — byte-identical
+// at any worker count.
 
 import (
 	"errors"
@@ -25,17 +24,16 @@ import (
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
-// Self-healing protocol defaults.
+// Broadcast protocol defaults.
 const (
-	// DefaultHealRounds bounds the repair rounds of a healing campaign.
+	// DefaultHealRounds bounds the repair rounds of a broadcast campaign.
 	DefaultHealRounds = 40
 	// DefaultMaxBackoff caps the exponential poll backoff, in rounds.
 	DefaultMaxBackoff = 8
-	// announceAttempts bounds the round-0 announce sweep per node. The
-	// legacy protocol models the announce exchange as reliable; under
-	// faults one lost announce would otherwise cost a node the whole
-	// broadcast phase, so the initial sweep retries a few times before
-	// leaving the node to the (budgeted) repair rounds.
+	// announceAttempts bounds the round-0 announce sweep per node. One
+	// lost announce would otherwise cost a node the whole broadcast
+	// phase, so the initial sweep retries a few times before leaving the
+	// node to the (budgeted) repair rounds.
 	announceAttempts = 3
 	// nackPayloadLen models the compact missing-chunk bitmap a node
 	// returns to a repair poll (a run-length summary fits a handful of
@@ -43,12 +41,12 @@ const (
 	nackPayloadLen = frameOverhead + 8
 )
 
-// HealConfig tunes the self-healing protocol. The zero value is runnable:
+// HealConfig tunes the broadcast protocol. The zero value is runnable:
 // no injected faults and the default retry budget. Repair rounds and
 // backoff are capped at DefaultHealRounds and DefaultMaxBackoff.
 type HealConfig struct {
-	// Plan injects deterministic faults; nil runs the healing protocol
-	// over the plain loss channel.
+	// Plan injects deterministic faults; nil runs the protocol over the
+	// plain loss channel.
 	Plan *fault.Plan
 	// RetryBudget caps the AP transmissions (re-announces, NACK polls,
 	// repair chunks) charged to one node; 0 means max(64, two full
@@ -61,7 +59,7 @@ type HealConfig struct {
 	Canceled func() bool
 }
 
-// ErrCanceled is returned by ProgramFleetHealing when HealConfig.Canceled
+// ErrCanceled is returned by ProgramFleet when HealConfig.Canceled
 // reports cancellation mid-campaign.
 var ErrCanceled = errors.New("ota: campaign canceled")
 
@@ -75,15 +73,17 @@ type healNode struct {
 	finished  bool // transfer complete, awaiting finish phase
 }
 
-// ProgramFleetHealing runs the self-healing broadcast campaign. design
-// accompanies FPGA updates (nil for MCU targets). Failures are per node
-// and classified (BroadcastNodeResult.Class); only protocol-building
-// errors or cancellation fail the session.
+// ProgramFleet runs the broadcast campaign end to end. design accompanies
+// FPGA updates (nil for MCU targets), as in Session.Program. Failures are
+// per node and classified (BroadcastNodeResult.Class): one unreachable
+// node does not abort the rest of the fleet, matching
+// testbed.Campus.ProgramAll. Only protocol-building errors (empty fleet,
+// unmarshalable manifest) or cancellation fail the session.
 //
 // The fault plan's frame index advances with every on-air frame, so every
 // fault is a fixed function of (plan seed, node, frame) — the campaign
 // report is byte-identical regardless of how shards are scheduled.
-func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, hc HealConfig) (*BroadcastReport, error) {
+func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealConfig) (*BroadcastReport, error) {
 	if len(s.Targets) == 0 {
 		return nil, fmt.Errorf("ota: empty fleet")
 	}
@@ -97,6 +97,9 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 	plan := hc.Plan
 
 	rep := &BroadcastReport{PerNode: make([]BroadcastNodeResult, len(s.Targets))}
+	// Per-node start times make FleetTime correct even when the fleet's
+	// clocks begin skewed: every phase advances all clocks in lockstep,
+	// and the fleet time is the largest per-node elapsed time.
 	starts := make([]time.Duration, len(s.Targets))
 	nodes := make([]healNode, len(s.Targets))
 	for i, t := range s.Targets {
@@ -162,16 +165,11 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 
 	// announce attempts the program-request/ready exchange with node i at
 	// the current frame, returning true when the AP gets the ready back.
+	// A node outside an update wakes its radio to listen before the
+	// request goes out, so the request airtime is charged in RX whether or
+	// not the frame then reaches it.
 	announce := func(i int) bool {
 		t := s.Targets[i]
-		s.advanceAll(reqTime)
-		if !apUp() {
-			return false
-		}
-		rep.AirBytes += reqPayloadLen
-		if !hears(i, reqPayloadLen) {
-			return false
-		}
 		if !t.Node.InUpdate() {
 			d, err := t.Node.Backbone.Transition(radio.StateRX)
 			if err != nil {
@@ -180,6 +178,12 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 			}
 			s.advanceAll(d)
 			t.Node.MCU.SetState(mcu.StateIdle)
+		}
+		// The AP spends the request/ready airtime whether or not the node
+		// plays along: a failed exchange ends in an AP timeout.
+		s.advanceAll(reqTime)
+		if !apUp() || !hears(i, reqPayloadLen) {
+			return false
 		}
 		req := &Frame{Type: FrameProgramRequest, Device: t.Node.ID, Payload: mb}
 		if _, err := t.Node.HandleProgramRequest(req); err != nil {
@@ -214,10 +218,9 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 		nodes[i].delivered++
 	}
 
-	// Round 0 — initial announce sweep (not charged against budgets, like
-	// the legacy protocol's announce phase, which models the exchange as
-	// reliable; here each attempt rolls the fault and loss channel, so a
-	// node gets a few tries before the broadcast starts without it).
+	// Round 0 — initial announce sweep, not charged against budgets. Each
+	// attempt rolls the fault and loss channel, so a node gets a few tries
+	// before the broadcast starts without it.
 	for i := range s.Targets {
 		for a := 0; a < announceAttempts; a++ {
 			if rep.PerNode[i].Err != nil || nodes[i].announced {
@@ -310,9 +313,6 @@ func (s *BroadcastSession) ProgramFleetHealing(u *Update, design *fpga.Design, h
 			rep.PerNode[i].Repairs++
 			s.advanceAll(pollTime)
 			polled := apUp() && hears(i, ackPayloadLen) && !s.lost(t.RSSIdBm, nackPayloadLen)
-			if apUp() {
-				rep.AirBytes += ackPayloadLen
-			}
 			if rep.PerNode[i].Err != nil {
 				continue
 			}

@@ -9,19 +9,30 @@ import (
 )
 
 func TestHealingNoFaultsDeliversExactImages(t *testing.T) {
-	// With no fault plan the healing protocol must still program every
-	// node bit-exactly — it only adds NACK polls over the loss channel.
+	// A fault plan whose spec injects nothing must program every node
+	// bit-exactly and leave the report exactly as a nil plan does: the
+	// plan's hooks (flash write faults, crash, sleep, desync and AP
+	// outage rolls) may not move a single frame on their own.
 	img := fpga.SynthMCUFirmware(16*1024, 3)
 	u, err := BuildUpdate(TargetMCU, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := broadcastFleet(t, 5, -90)
-	sess := NewBroadcastSession(targets, 1)
-	rep, err := sess.ProgramFleetHealing(u, nil, HealConfig{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(plan *fault.Plan) ([]BroadcastTarget, *BroadcastReport) {
+		targets := broadcastFleet(t, 5, -120)
+		rep, err := NewBroadcastSession(targets, 1).ProgramFleet(u, nil, HealConfig{Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return targets, rep
 	}
+	// At sensitivity the fleet needs repair rounds, so the plan is
+	// consulted on every repair frame as well as on the broadcast pass.
+	_, want := run(nil)
+	if want.RepairPackets == 0 {
+		t.Fatal("fleet needed no repair; move it closer to sensitivity")
+	}
+	targets, rep := run(fault.NewPlan(fault.Spec{}, 9))
 	if rep.Failed() != 0 {
 		t.Fatalf("failed = %d: %+v", rep.Failed(), rep.FailedByClass())
 	}
@@ -30,9 +41,15 @@ func TestHealingNoFaultsDeliversExactImages(t *testing.T) {
 			t.Errorf("node %d: %v", tg.Node.ID, err)
 		}
 	}
-	for _, p := range rep.PerNode {
-		if p.Class != FailNone {
-			t.Errorf("node %d class %q on success", p.NodeID, p.Class)
+	if rep.FleetTime != want.FleetTime || rep.AirBytes != want.AirBytes ||
+		rep.BroadcastPackets != want.BroadcastPackets || rep.RepairPackets != want.RepairPackets {
+		t.Errorf("session totals with an empty plan %+v, nil plan %+v", rep, want)
+	}
+	for i, p := range rep.PerNode {
+		w := want.PerNode[i]
+		if p.Class != FailNone || p.Repairs != w.Repairs || p.Duration != w.Duration ||
+			p.Crashes != 0 || p.FlashFaults != 0 {
+			t.Errorf("node %d with an empty plan %+v, nil plan %+v", p.NodeID, p, w)
 		}
 	}
 }
@@ -45,7 +62,7 @@ func TestHealingSurvivesFlashFaults(t *testing.T) {
 	targets := broadcastFleet(t, 4, -80)
 	sess := NewBroadcastSession(targets, 2)
 	plan := fault.NewPlan(fault.Spec{FlashFailProb: 0.05}, 7)
-	rep, err := sess.ProgramFleetHealing(u, nil, HealConfig{Plan: plan})
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +91,7 @@ func TestHealingRecoversCrashedNodes(t *testing.T) {
 	targets := broadcastFleet(t, 4, -80)
 	sess := NewBroadcastSession(targets, 3)
 	plan := fault.NewPlan(fault.Spec{CrashProb: 0.002}, 21)
-	rep, err := sess.ProgramFleetHealing(u, nil, HealConfig{Plan: plan})
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +121,7 @@ func TestHealingBudgetExhaustionClassified(t *testing.T) {
 	targets := broadcastFleet(t, 3, -80)
 	targets[1].RSSIdBm = -160 // hopeless
 	sess := NewBroadcastSession(targets, 4)
-	rep, err := sess.ProgramFleetHealing(u, nil, HealConfig{RetryBudget: 16})
+	rep, err := sess.ProgramFleet(u, nil, HealConfig{RetryBudget: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +155,7 @@ func TestHealingCancellation(t *testing.T) {
 	// A lossy fleet guarantees at least one repair round runs.
 	targets := broadcastFleet(t, 3, -115)
 	sess := NewBroadcastSession(targets, 5)
-	_, err := sess.ProgramFleetHealing(u, nil, HealConfig{
+	_, err := sess.ProgramFleet(u, nil, HealConfig{
 		Canceled: func() bool { return true },
 	})
 	if !errors.Is(err, ErrCanceled) {
@@ -158,7 +175,7 @@ func TestHealingDeterministicReports(t *testing.T) {
 	run := func() *BroadcastReport {
 		targets := broadcastFleet(t, 6, -95)
 		sess := NewBroadcastSession(targets, 8)
-		rep, err := sess.ProgramFleetHealing(u, nil, HealConfig{Plan: fault.NewPlan(spec, 17)})
+		rep, err := sess.ProgramFleet(u, nil, HealConfig{Plan: fault.NewPlan(spec, 17)})
 		if err != nil {
 			t.Fatal(err)
 		}

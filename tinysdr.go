@@ -520,8 +520,8 @@ const (
 func RunFleetCampaign(spec FleetSpec) (*FleetResult, error) { return fleet.Run(spec) }
 
 // RunFleetCampaignContext is RunFleetCampaign with cancellation: a canceled
-// context aborts the campaign between shards and between self-healing
-// repair rounds.
+// context aborts the campaign between shards and between broadcast repair
+// rounds.
 func RunFleetCampaignContext(ctx context.Context, spec FleetSpec) (*FleetResult, error) {
 	return fleet.RunContext(ctx, spec)
 }
@@ -570,9 +570,9 @@ func ParseFaultSpec(s string) (FaultSpec, error) { return fault.Parse(s) }
 // NewFaultPlan binds a spec to a seed.
 func NewFaultPlan(spec FaultSpec, seed int64) *FaultPlan { return fault.NewPlan(spec, seed) }
 
-// OTAHealConfig tunes the self-healing broadcast campaign protocol:
-// fault plan, per-node retry budget and a cancellation hook. The zero
-// value is runnable.
+// OTAHealConfig tunes the broadcast campaign protocol: fault plan,
+// per-node retry budget and a cancellation hook. The zero value is
+// runnable.
 type OTAHealConfig = ota.HealConfig
 
 // OTAFailureClass is the per-node failure taxonomy of a broadcast
