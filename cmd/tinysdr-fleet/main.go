@@ -46,6 +46,7 @@ import (
 
 	"github.com/uwsdr/tinysdr/internal/eval"
 	"github.com/uwsdr/tinysdr/internal/fleet"
+	"github.com/uwsdr/tinysdr/internal/httpjson"
 )
 
 func main() {
@@ -83,7 +84,7 @@ func main() {
 			srv = fleet.NewServer()
 			fmt.Fprintf(os.Stderr, "tinysdr-fleet: serving campaign API on %s (in-memory)\n", *serve)
 		}
-		httpSrv := &http.Server{Addr: *serve, Handler: srv.Handler()}
+		httpSrv := httpjson.NewServer(*serve, srv.Handler())
 		drained := make(chan struct{})
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGTERM, os.Interrupt)

@@ -1,8 +1,8 @@
 // Command tinysdr-sense drives the crowd-sourced spectrum sensing
 // subsystem (internal/sense): simulated fleets of mobile nodes measure
-// the band through the chunked RX seam, report quantized spectra over a
-// compact binary wire format, and an aggregator merges the streams into
-// a time×frequency occupancy map.
+// the band with one Welch estimate per tick, report quantized spectra
+// over a compact binary wire format, and an aggregator merges the
+// streams into a time×frequency occupancy map.
 //
 // Usage:
 //
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/eval"
+	"github.com/uwsdr/tinysdr/internal/httpjson"
 	"github.com/uwsdr/tinysdr/internal/sense"
 )
 
@@ -202,7 +203,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "tinysdr-sense: serving ingest API on %s (%d×%d map)\n", *addr, *ticks, *bins)
-	return http.ListenAndServe(*addr, sense.NewHandler(agg))
+	return httpjson.NewServer(*addr, sense.NewHandler(agg)).ListenAndServe()
 }
 
 func cmdRoundtrip(args []string) error {

@@ -10,7 +10,7 @@ import (
 
 // SenseSweep drives the crowd-sourced spectrum sensing subsystem at fleet
 // scale: thousands of mobile nodes walk the campus propagation field,
-// each measuring the band through the chunked RX seam and reporting
+// each measuring the band with one Welch estimate per tick and reporting
 // quantized spectra over the real wire format into one aggregator. The
 // experiment is also the subsystem's determinism gate: the sweep runs at
 // the configured pool and again at one worker, and the marshaled

@@ -7,9 +7,9 @@
 // This is the waveform-agnostic abstraction the tinySDR hardware argument
 // implies: the platform's radio/FPGA substrate does not care which IoT PHY
 // runs on it, so neither should the experiment harness. Adding a protocol
-// means implementing Modem and calling Register — the scenario grammar's
-// interferer terms, the eval sweeps' -phy selection and the facade's
-// OpenLink all pick it up without further wiring.
+// means implementing Modem and adding its builder to the registry table —
+// the scenario grammar's interferer terms, the eval sweeps' -phy selection
+// and the facade's OpenLink all pick it up without further wiring.
 package phy
 
 import (

@@ -41,20 +41,6 @@ func TestRegistryCoversPlatformPHYs(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate", func() { Register("lora", func() (Modem, error) { return New("lora") }) })
-	mustPanic("empty", func() { Register("", func() (Modem, error) { return New("lora") }) })
-	mustPanic("nil builder", func() { Register("new-phy", nil) })
-}
-
 // TestModemContract checks the interface invariants every registered PHY
 // must satisfy: positive rates, airtime growing with payload, a
 // sensitivity above the bit-bandwidth floor, and sensitivity/noise floor

@@ -1,8 +1,8 @@
 // Package sense is the crowd-sourced spectrum sensing subsystem: fleets
-// of simulated mobile nodes measure the band through the chunked RX seam
-// (phy.Stream feeding dsp.WelchStream), quantize their power spectra into
-// compact binary reports, and an aggregator merges thousands of report
-// streams into a time×frequency occupancy map.
+// of simulated mobile nodes measure the band with one Welch estimate over
+// each tick's capture, quantize their power spectra into compact binary
+// reports, and an aggregator merges thousands of report streams into a
+// time×frequency occupancy map.
 //
 // Everything a node emits is a pure function of (seed, node, tick): no
 // wall clock, no global randomness, no cross-tick state — so a sweep's

@@ -2,6 +2,8 @@ package sense
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
 
@@ -56,6 +58,30 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	// The world has real emitters: some occupancy must show up somewhere.
 	if s := m.Summarize(); !(s.Occupancy > 0) {
 		t.Fatalf("sweep saw no occupancy: %+v", s)
+	}
+}
+
+// TestSweepMapGolden pins the sensing pipeline's output across commits:
+// the map of the CI sweep (tinysdr-sense sweep -nodes 200 -ticks 4 -fft
+// 128 -out writes the same bytes) must keep this SHA-256. A change to the
+// world model, the estimator or the quantizer that moves a single code
+// shows up here; regenerate the digest only for a deliberate change.
+func TestSweepMapGolden(t *testing.T) {
+	res, err := Sweep(SweepConfig{
+		World:        DefaultWorld(),
+		FFTSize:      128,
+		Nodes:        200,
+		Ticks:        4,
+		Seed:         1,
+		ThresholdDBm: -85,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9e9a79a76ce40d88499aecd4e15602b47cb2c3882da0ac60d0693f6454a8679e"
+	sum := sha256.Sum256(res.MapBytes)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("map sha256 %s, want %s", got, want)
 	}
 }
 

@@ -2,14 +2,12 @@ package sense
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/dsp"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/par"
-	"github.com/uwsdr/tinysdr/internal/phy"
 )
 
 // Emitter is one transmitter in the sensed band. Its on/off schedule is a
@@ -46,10 +44,6 @@ type World struct {
 	TickSeconds float64
 	// TickSamples is how many samples a node captures per tick.
 	TickSamples int
-	// ChunkSamples is the chunk size sensors read through the phy.Stream
-	// seam — the knob proving a sensor's working set is one chunk, not
-	// the tick capture.
-	ChunkSamples int
 	// NodeStartM and NodeStepM lay the fleet out radially.
 	NodeStartM, NodeStepM float64
 	// NodeSpeedMPS is the fleet's radial speed (positive recedes).
@@ -69,7 +63,6 @@ func DefaultWorld() World {
 		NoiseFloorDBm: -95,
 		TickSeconds:   0.5,
 		TickSamples:   2048,
-		ChunkSamples:  256,
 		NodeStartM:    30,
 		NodeStepM:     1.5,
 		NodeSpeedMPS:  1.4,
@@ -88,9 +81,6 @@ func (w *World) Validate() error {
 	}
 	if w.TickSamples < 1 {
 		return fmt.Errorf("sense: %d samples per tick", w.TickSamples)
-	}
-	if w.ChunkSamples < 1 {
-		return fmt.Errorf("sense: %d samples per chunk", w.ChunkSamples)
 	}
 	if !(w.TickSeconds > 0) {
 		return fmt.Errorf("sense: tick of %g seconds", w.TickSeconds)
@@ -125,23 +115,23 @@ func EmitterActive(seed int64, j, tick int, duty float64) bool {
 }
 
 // Sensor measures the world on behalf of one node at a time: it
-// synthesizes the node's received waveform tick by tick, streams it
-// through the chunked RX seam into a Welch estimator, and quantizes the
-// spectrum into a Report. A Sensor owns scratch (plan, stream, link
-// stages) and is single-goroutine — the par worker-state idiom; give each
-// worker its own and have it serve many nodes.
+// synthesizes the node's received waveform tick by tick, estimates its
+// power spectrum with one Welch pass over the tick's capture, and
+// quantizes the spectrum into a Report. A Sensor owns scratch (Welch
+// plan, capture, link stages) and is single-goroutine — the par
+// worker-state idiom; give each worker its own and have it serve many
+// nodes.
 type Sensor struct {
 	w    *World
 	seed int64
 
-	stream *dsp.WelchStream
-	mobs   []*channel.Mobility
-	noise  *channel.Noise
-	tone   iq.Samples
-	acc    iq.Samples
-	chunk  iq.Samples
-	psd    []float64
-	rep    Report
+	plan  *dsp.WelchPlan
+	mobs  []*channel.Mobility
+	noise *channel.Noise
+	tone  iq.Samples
+	acc   iq.Samples
+	psd   []float64
+	rep   Report
 }
 
 // NewSensor returns a sensor over the world with the given FFT size. The
@@ -154,16 +144,15 @@ func NewSensor(w *World, fftSize int, seed int64) (*Sensor, error) {
 		return nil, fmt.Errorf("sense: FFT size %d (want a power of two ≤ %d)", fftSize, MaxReportBins)
 	}
 	s := &Sensor{
-		w:      w,
-		seed:   seed,
-		stream: dsp.NewWelchPlan(fftSize).Stream(),
-		mobs:   make([]*channel.Mobility, len(w.Emitters)),
-		noise:  channel.NewNoise(w.NoiseFloorDBm),
-		tone:   make(iq.Samples, w.TickSamples),
-		acc:    make(iq.Samples, w.TickSamples),
-		chunk:  make(iq.Samples, w.ChunkSamples),
-		psd:    make([]float64, fftSize),
-		rep:    Report{SampleRate: w.SampleRate, Codes: make([]int16, fftSize)},
+		w:     w,
+		seed:  seed,
+		plan:  dsp.NewWelchPlan(fftSize),
+		mobs:  make([]*channel.Mobility, len(w.Emitters)),
+		noise: channel.NewNoise(w.NoiseFloorDBm),
+		tone:  make(iq.Samples, w.TickSamples),
+		acc:   make(iq.Samples, w.TickSamples),
+		psd:   make([]float64, fftSize),
+		rep:   Report{SampleRate: w.SampleRate, Codes: make([]int16, fftSize)},
 	}
 	for j, e := range w.Emitters {
 		s.mobs[j] = channel.NewMobility(w.Model, e.TxPowerDBm, 0, 0, 1, w.NodeSpeedMPS, w.SampleRate)
@@ -207,19 +196,7 @@ func (s *Sensor) Measure(node, tick int) *Report {
 	}
 	s.noise.Reset(par.SplitSeed(tickSeed, 0))
 	s.noise.ApplyInto(s.acc, s.acc)
-
-	// Consume the capture through the chunked RX seam: the estimator only
-	// ever sees ChunkSamples at a time, the contract hardware RX will hold.
-	st := phy.StreamSamples("sense", w.SampleRate, s.acc)
-	s.stream.Reset()
-	for {
-		n, err := st.ReadChunk(s.chunk)
-		if err == io.EOF {
-			break
-		}
-		s.stream.Extend(s.chunk[:n])
-	}
-	s.stream.FinishInto(s.psd, w.SampleRate)
+	s.plan.EstimateInto(s.psd, s.acc, w.SampleRate)
 
 	s.rep.Node = uint32(node)
 	s.rep.Tick = uint32(tick)

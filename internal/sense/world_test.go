@@ -10,7 +10,6 @@ import (
 func quickWorld() World {
 	w := DefaultWorld()
 	w.TickSamples = 512
-	w.ChunkSamples = 96
 	return w
 }
 
@@ -23,7 +22,6 @@ func TestWorldValidate(t *testing.T) {
 		func(w *World) { w.SampleRate = 0 },
 		func(w *World) { w.SampleRate = math.Inf(1) },
 		func(w *World) { w.TickSamples = 0 },
-		func(w *World) { w.ChunkSamples = 0 },
 		func(w *World) { w.TickSeconds = 0 },
 		func(w *World) { w.Emitters = nil },
 		func(w *World) { w.Emitters[0].FreqHz = w.SampleRate },
@@ -169,26 +167,21 @@ func TestSensorPhysics(t *testing.T) {
 	}
 }
 
-// TestSensorChunkInvariance: the chunk size a sensor streams through must
-// not change the measurement (the WelchStream guarantee, exercised
-// through the sensor's own path).
-func TestSensorChunkInvariance(t *testing.T) {
-	for _, chunk := range []int{1, 33, 512} {
-		w := quickWorld()
-		w.ChunkSamples = chunk
-		s, err := NewSensor(&w, 64, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire, err := s.Measure(3, 1).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := quickWorld()
-		rs, _ := NewSensor(&ref, 64, 42)
-		refWire, _ := rs.Measure(3, 1).MarshalBinary()
-		if !bytes.Equal(wire, refWire) {
-			t.Fatalf("chunk %d changes the measurement", chunk)
-		}
+// TestSensorMeasureZeroAllocs pins the sensor's hot-path contract: after
+// one warm-up call, synthesizing, estimating and quantizing a tick never
+// touches the heap.
+func TestSensorMeasureZeroAllocs(t *testing.T) {
+	w := quickWorld()
+	s, err := NewSensor(&w, 64, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Measure(0, 0)
+	node := 0
+	if n := testing.AllocsPerRun(50, func() {
+		node++
+		s.Measure(node, node%4)
+	}); n != 0 {
+		t.Fatalf("Measure allocates %.0f times per tick, want 0", n)
 	}
 }

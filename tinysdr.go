@@ -47,10 +47,10 @@
 //
 // The sensing subsystem (internal/sense, cmd/tinysdr-sense) turns a fleet
 // of endpoints into a distributed spectrum observatory: each node measures
-// the band through the chunked RX seam (SampleStream), reports a quantized
-// spectrum over a compact binary wire format, and an aggregator merges the
-// streams into a time×frequency occupancy map that is byte-identical at
-// any worker count:
+// the band with one Welch estimate per tick, reports a quantized spectrum
+// over a compact binary wire format, and an aggregator merges the streams
+// into a time×frequency occupancy map that is byte-identical at any worker
+// count:
 //
 //	world := tinysdr.DefaultSenseWorld()
 //	res, _ := tinysdr.RunSenseSweep(tinysdr.SenseSweepConfig{
@@ -201,17 +201,6 @@ func ReplayTrace(t *Trace, workers int) (LinkStats, error) { return trace.Replay
 // gate CI runs on the committed testdata/traces corpus.
 func VerifyTrace(t *Trace, workers int) error { return trace.Verify(t, workers) }
 
-// SampleStream is the chunked RX seam: a receiver consuming IQ in
-// fixed-size chunks instead of whole-capture buffers, the way streaming
-// hardware hands samples over. ReadChunk fills dst and returns io.EOF
-// after the final (possibly short) chunk.
-type SampleStream = phy.Stream
-
-// StreamSamples wraps an in-memory capture as a SampleStream.
-func StreamSamples(name string, sampleRate float64, x Samples) SampleStream {
-	return phy.StreamSamples(name, sampleRate, x)
-}
-
 // SenseWorld is the shared propagation field of a crowd-sensing sweep:
 // emitters, noise floor, capture geometry and node trajectory parameters.
 type SenseWorld = sense.World
@@ -224,9 +213,9 @@ type SenseEmitter = sense.Emitter
 func DefaultSenseWorld() SenseWorld { return sense.DefaultWorld() }
 
 // SpectrumSensor is one node's sensing engine: it synthesizes the node's
-// view of the world at a (node, tick), streams it through the chunked RX
-// seam into a Welch estimator, and quantizes the result into a
-// SenseReport. Every measurement is a pure function of (seed, node, tick).
+// view of the world at a (node, tick), runs one Welch estimate over that
+// capture, and quantizes the result into a SenseReport. Every measurement
+// is a pure function of (seed, node, tick).
 type SpectrumSensor = sense.Sensor
 
 // NewSpectrumSensor builds a sensor for a world at the given FFT size.
