@@ -9,6 +9,8 @@
 package flash
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"time"
 )
@@ -57,6 +59,10 @@ type WriteFaults interface {
 	FaultWrite(addr int, data []byte) (flipByte, flipBit int, err error)
 }
 
+// erasedSector is one sector in the erased state: new sectors are cloned
+// from it and reads of sparse sectors copy from it.
+var erasedSector = [SectorSize]byte(bytes.Repeat([]byte{0xFF}, SectorSize))
+
 // New returns a flash chip in the erased state (all 0xFF), as shipped.
 func New() *Flash {
 	return &Flash{sectors: make(map[int][]byte)}
@@ -71,10 +77,7 @@ func (f *Flash) SetWriteFaults(w WriteFaults) { f.faults = w }
 func (f *Flash) sector(idx int) []byte {
 	s, ok := f.sectors[idx]
 	if !ok {
-		s = make([]byte, SectorSize)
-		for i := range s {
-			s[i] = 0xFF
-		}
+		s = append([]byte(nil), erasedSector[:]...)
 		f.sectors[idx] = s
 	}
 	return s
@@ -124,8 +127,17 @@ func (f *Flash) Program(addr int, data []byte) error {
 		if !ok {
 			return nil // erased sector accepts anything
 		}
-		for i := 0; i < span; i++ {
-			if cur, b := s[in+i], data[off+i]; cur&b != b {
+		stored, want := s[in:in+span], data[off:off+span]
+		// Test a word at a time; the byte loop finds the first offending
+		// byte from the first failing word on, and checks the tail.
+		i := 0
+		for ; i+8 <= span; i += 8 {
+			if binary.LittleEndian.Uint64(want[i:])&^binary.LittleEndian.Uint64(stored[i:]) != 0 {
+				break
+			}
+		}
+		for ; i < span; i++ {
+			if cur, b := stored[i], want[i]; cur&b != b {
 				return fmt.Errorf("flash: program at %#x requires erase (stored %#02x, want %#02x)",
 					addr+off+i, cur, b)
 			}
@@ -162,13 +174,11 @@ func (f *Flash) Read(addr, n int) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	_ = forSpans(addr, n, func(idx, in, off, span int) error {
-		if s, ok := f.sectors[idx]; ok {
-			copy(out[off:off+span], s[in:in+span])
-		} else {
-			for i := off; i < off+span; i++ {
-				out[i] = 0xFF
-			}
+		s, ok := f.sectors[idx]
+		if !ok {
+			s = erasedSector[:]
 		}
+		copy(out[off:off+span], s[in:in+span])
 		return nil
 	})
 	return out, nil

@@ -140,6 +140,43 @@ func TestProgramReadAcrossSectors(t *testing.T) {
 	}
 }
 
+func TestProgramRejectsFirstNonErasableByte(t *testing.T) {
+	// An unaligned write across a sector boundary that needs a bit set at
+	// bytes 13 and 41: the error names the first of them with its stored
+	// and wanted bytes, and the device keeps its contents.
+	f := New()
+	addr := SectorSize - 21
+	orig := make([]byte, 64)
+	for i := range orig {
+		orig[i] = byte(i)
+	}
+	if err := f.Program(addr, orig); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(orig)
+	want[13] |= 0x80
+	want[41] |= 0x80
+	err := f.Program(addr, want)
+	if err == nil {
+		t.Fatal("bit-setting program accepted")
+	}
+	if got, msg := err.Error(), "flash: program at 0xff8 requires erase (stored 0x0d, want 0x8d)"; got != msg {
+		t.Errorf("error %q, want %q", got, msg)
+	}
+	got, err := f.Read(addr-8, len(orig)+16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[8:8+len(orig)], orig) {
+		t.Error("rejected program mutated flash")
+	}
+	for i := 0; i < 8; i++ {
+		if got[i] != 0xFF || got[len(got)-1-i] != 0xFF {
+			t.Fatal("margin around programmed span not erased")
+		}
+	}
+}
+
 func TestReadFarErasedRegion(t *testing.T) {
 	f := New()
 	got, err := f.Read(Size-SectorSize, SectorSize)

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -145,5 +148,42 @@ func TestSingleNodeCampaign(t *testing.T) {
 	}
 	if res.Nodes[0].Err != "" {
 		t.Errorf("single node failed: %s", res.Nodes[0].Err)
+	}
+}
+
+func TestCampaignResultGolden(t *testing.T) {
+	// Pins the JSON bytes of whole campaigns across commits: a clean
+	// broadcast, a faulted chaos campaign and a lossy unicast one. Worker
+	// count independence is tested above; this catches any change to the
+	// loss stream, the fault draws, the flash model or the accounting.
+	chaos := "crash=0.0005,flashfail=0.01,bitrot=0.002,desync=0.03:4,duty=0.05,apoutage=0.002:8"
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"broadcast", Spec{Seed: 1, Nodes: 40, ShardSize: 20, Mode: ModeBroadcast, Image: ImageMCU, ImageKB: 78, Workers: 1},
+			"ccd5b666779ed7e6d768dc244338502916e3ade10e48b0384a0dc8b8dbd5236e"},
+		{"chaos", Spec{Seed: 13, Nodes: 60, Mode: ModeBroadcast, Image: ImageMCU, Quorum: 0.5, Faults: chaos},
+			"d7767ea0b29b320844f7a8e904634f25ebcfbe1b3406adc35ac75ead6e17ece4"},
+		{"unicast", Spec{Seed: 1, Nodes: 20, Mode: ModeUnicast, Image: ImageMCU},
+			"368124d43ba7b671ac6555faf993e603f89d11d833a97654a776c9061a24c9cb"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Run(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("result sha256 %s, want %s (%d/%d programmed, failures %v)",
+					got, c.want, res.Completed, len(res.Nodes), res.Failures)
+			}
+		})
 	}
 }

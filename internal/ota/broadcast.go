@@ -1,11 +1,9 @@
 package ota
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/lora"
-	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
 // Broadcast programming (§7, "Better programming interface and protocols"):
@@ -29,9 +27,12 @@ type BroadcastTarget struct {
 // each node's repair phase, and reprograms concurrently at the end.
 type BroadcastSession struct {
 	Targets []BroadcastTarget
-	PHY     lora.Params
+	// PHY is the backbone configuration. It is fixed for the session's
+	// life: the loss model memoizes packet error rates on that premise,
+	// and nothing assigns PHY after NewBroadcastSession.
+	PHY lora.Params
 
-	rng *rand.Rand
+	loss lossModel
 }
 
 // NewBroadcastSession returns a broadcast session over the given fleet.
@@ -39,7 +40,7 @@ func NewBroadcastSession(targets []BroadcastTarget, seed int64) *BroadcastSessio
 	return &BroadcastSession{
 		Targets: targets,
 		PHY:     BackboneParams(),
-		rng:     rand.New(rand.NewSource(seed)),
+		loss:    newLossModel(seed),
 	}
 }
 
@@ -142,11 +143,6 @@ func (r *BroadcastReport) FailedByClass() map[FailureClass]int {
 
 // Completed returns the number of successfully programmed nodes.
 func (r *BroadcastReport) Completed() int { return len(r.PerNode) - r.Failed() }
-
-func (s *BroadcastSession) lost(rssi float64, payloadLen int) bool {
-	per := lora.PacketErrorRate(s.PHY, payloadLen, rssi, radio.SX1276NoiseFigureDB)
-	return s.rng.Float64() < per
-}
 
 // advanceAll moves every node's clock forward by d, keeping the fleet in
 // lockstep.

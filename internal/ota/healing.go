@@ -157,7 +157,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		if plan != nil && (plan.Asleep(t.Node.ID, frame) || plan.Desynced(t.Node.ID, frame)) {
 			return false
 		}
-		return !s.lost(t.RSSIdBm, payloadLen)
+		return !s.loss.lost(s.PHY, t.RSSIdBm, payloadLen)
 	}
 	// apUp rolls the AP outage window for the current frame; during an
 	// outage nothing is transmitted (no air bytes) but time still passes.
@@ -192,7 +192,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		}
 		// The ready reply shares the frame's fate drawn above except for
 		// its own uplink loss.
-		if s.lost(t.RSSIdBm, ackPayloadLen) {
+		if s.loss.lost(s.PHY, t.RSSIdBm, ackPayloadLen) {
 			// The node is announced but the AP does not know yet; the
 			// next poll discovers it. Conservatively count it announced —
 			// the node is in the transfer and will collect broadcast data.
@@ -203,11 +203,12 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		return true
 	}
 
-	// deliver hands one data frame to node i, classifying injected flash
-	// faults as recoverable (the chunk is simply still missing and the
-	// next NACK round re-requests it).
+	// deliver stores one data frame at node i, with no ACK: the broadcast
+	// protocol never sends one. Injected flash faults are recoverable (the
+	// chunk is simply still missing and the next NACK round re-requests
+	// it).
 	deliver := func(i int, f *Frame) {
-		if _, err := s.Targets[i].Node.HandleData(f); err != nil {
+		if err := s.Targets[i].Node.store(f); err != nil {
 			if errors.Is(err, fault.ErrFlashWrite) {
 				rep.PerNode[i].FlashFaults++
 				return
@@ -249,7 +250,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			if rep.PerNode[i].Err != nil || !nodes[i].announced {
 				// Unannounced nodes are not in update mode; their loss
 				// draw is still consumed so the stream stays aligned.
-				_ = s.lost(s.Targets[i].RSSIdBm, len(chunk)+frameOverhead)
+				_ = s.loss.lost(s.PHY, s.Targets[i].RSSIdBm, len(chunk)+frameOverhead)
 				continue
 			}
 			if hears(i, len(chunk)+frameOverhead) {
@@ -312,7 +313,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			rep.RepairPackets++
 			rep.PerNode[i].Repairs++
 			s.advanceAll(pollTime)
-			polled := apUp() && hears(i, ackPayloadLen) && !s.lost(t.RSSIdBm, nackPayloadLen)
+			polled := apUp() && hears(i, ackPayloadLen) && !s.loss.lost(s.PHY, t.RSSIdBm, nackPayloadLen)
 			if rep.PerNode[i].Err != nil {
 				continue
 			}

@@ -62,8 +62,18 @@ func (n *Node) HandleProgramRequest(f *Frame) (*Frame, error) {
 	if err := m.UnmarshalBinary(f.Payload); err != nil {
 		return nil, err
 	}
+	// The manifest comes off the air: bound the flash layout it implies
+	// to the staging and target regions before touching flash.
 	if m.StreamSize > RegionSize {
 		return nil, fmt.Errorf("ota: stream of %d bytes exceeds staging region", m.StreamSize)
+	}
+	if m.ImageSize > RegionSize {
+		return nil, fmt.Errorf("ota: image of %d bytes exceeds firmware region", m.ImageSize)
+	}
+	chunk := uint32(m.ChunkSize)
+	if want := (m.StreamSize + chunk - 1) / chunk; uint32(m.NumPackets) != want {
+		return nil, fmt.Errorf("ota: %d packets for a %d-byte stream in %d-byte chunks, want %d",
+			m.NumPackets, m.StreamSize, m.ChunkSize, want)
 	}
 	// Erase the staging region. The erase runs during the scheduled-wake
 	// window the AP's request grants (§3.4), so it costs no transfer
@@ -78,29 +88,43 @@ func (n *Node) HandleProgramRequest(f *Frame) (*Frame, error) {
 	return &Frame{Type: FrameReady, Device: n.ID}, nil
 }
 
-// HandleData processes one data frame: sequence check, flash write, and the
+// HandleData processes one data frame: it stores the chunk and returns the
 // ACK to send. Duplicate chunks are acknowledged without rewriting. Frames
 // addressed to BroadcastAddr are accepted by every node in update mode (the
 // §7 broadcast phase); unicast frames for another node are still rejected.
 func (n *Node) HandleData(f *Frame) (*Frame, error) {
+	if err := n.store(f); err != nil {
+		return nil, err
+	}
+	return &Frame{Type: FrameAck, Device: n.ID, Seq: f.Seq}, nil
+}
+
+// store is HandleData without the ACK, which the broadcast protocol never
+// sends: the sequence and layout checks, then the flash write of a chunk
+// not yet received.
+func (n *Node) store(f *Frame) error {
 	if !n.updateBusy {
-		return nil, fmt.Errorf("ota: data frame outside update")
+		return fmt.Errorf("ota: data frame outside update")
 	}
 	if f.Type != FrameData || (f.Device != n.ID && f.Device != BroadcastAddr) {
-		return nil, fmt.Errorf("ota: unexpected frame %v for %d", f.Type, f.Device)
+		return fmt.Errorf("ota: unexpected frame %v for %d", f.Type, f.Device)
 	}
 	if int(f.Seq) >= len(n.received) {
-		return nil, fmt.Errorf("ota: sequence %d beyond manifest %d", f.Seq, len(n.received))
+		return fmt.Errorf("ota: sequence %d beyond manifest %d", f.Seq, len(n.received))
+	}
+	off := int(f.Seq) * int(n.manifest.ChunkSize)
+	if len(f.Payload) > int(n.manifest.ChunkSize) || off+len(f.Payload) > int(n.manifest.StreamSize) {
+		return fmt.Errorf("ota: %d-byte chunk %d outside the %d-byte stream in %d-byte chunks",
+			len(f.Payload), f.Seq, n.manifest.StreamSize, n.manifest.ChunkSize)
 	}
 	if !n.received[f.Seq] {
-		addr := StagingRegion + int(f.Seq)*int(n.manifest.ChunkSize)
-		if err := n.Flash.Program(addr, f.Payload); err != nil {
-			return nil, err
+		if err := n.Flash.Program(StagingRegion+off, f.Payload); err != nil {
+			return err
 		}
 		n.Clock.Advance(flash.ProgramTime(len(f.Payload)))
 		n.received[f.Seq] = true
 	}
-	return &Frame{Type: FrameAck, Device: n.ID, Seq: f.Seq}, nil
+	return nil
 }
 
 // Reboot models a node crash: the device restarts with all in-progress

@@ -281,6 +281,59 @@ func TestNodeRejectsWrongDevice(t *testing.T) {
 	}
 }
 
+func TestNodeBoundsFlashLayout(t *testing.T) {
+	// The manifest and data frames come off the air: neither may steer a
+	// flash write outside the staging region or a later erase outside the
+	// firmware region.
+	request := func(node *Node, m Manifest) error {
+		mb, _ := m.MarshalBinary()
+		_, err := node.HandleProgramRequest(&Frame{Type: FrameProgramRequest, Device: node.ID, Payload: mb})
+		return err
+	}
+	badManifests := map[string]Manifest{
+		// Seq 27243 would program 0x740095, inside MCURegion.
+		"packets beyond the stream": {Target: TargetMCU, ImageSize: 100, StreamSize: 100, NumPackets: 65535, NumBlocks: 1, ChunkSize: 255},
+		// Finish would erase [0, 0x200000).
+		"image beyond the region": {Target: TargetFPGA, ImageSize: 2 << 20, StreamSize: 104, NumPackets: 2, NumBlocks: 1, ChunkSize: 52},
+	}
+	for name, m := range badManifests {
+		node, _ := testNode(t, 5)
+		if err := request(node, m); err == nil {
+			t.Errorf("%s: manifest %+v accepted", name, m)
+		}
+	}
+
+	chunks := []struct {
+		name           string
+		stream, seq, n int
+		ok             bool
+	}{
+		{"longer than a chunk, past the stream", 104, 1, 200, false},
+		{"longer than a chunk, inside the stream", 104, 0, 60, false},
+		{"ends past the stream", 100, 1, 52, false},
+		{"last chunk", 104, 1, 52, true},
+	}
+	for _, c := range chunks {
+		node, _ := testNode(t, 5)
+		m := Manifest{Target: TargetMCU, ImageSize: 100, StreamSize: uint32(c.stream), NumPackets: 2, NumBlocks: 1, ChunkSize: 52}
+		if err := request(node, m); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		payload := bytes.Repeat([]byte{0x5A}, c.n)
+		_, err := node.HandleData(&Frame{Type: FrameData, Device: node.ID, Seq: uint16(c.seq), Payload: payload})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok %v", c.name, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		staged, _ := node.Flash.Read(StagingRegion, 512)
+		if !bytes.Equal(staged, bytes.Repeat([]byte{0xFF}, 512)) {
+			t.Errorf("%s: rejected chunk reached flash", c.name)
+		}
+	}
+}
+
 func TestNodeRejectsDataOutsideUpdate(t *testing.T) {
 	node, _ := testNode(t, 8)
 	f := &Frame{Type: FrameData, Device: 8, Seq: 0, Payload: []byte("x")}

@@ -28,13 +28,15 @@ type Session struct {
 	// RSSIdBm is the received power at the node (and, symmetrically, at
 	// the AP for ACKs — both ends transmit at 14 dBm in §5.3).
 	RSSIdBm float64
-	// PHY is the backbone configuration.
+	// PHY is the backbone configuration. It is fixed for the session's
+	// life: the loss model memoizes packet error rates on that premise,
+	// and nothing assigns PHY after NewSession.
 	PHY lora.Params
 	// MaxRetries bounds per-packet retransmissions before the session
 	// fails (the AP gives up on unreachable nodes).
 	MaxRetries int
 
-	rng *rand.Rand
+	loss lossModel
 }
 
 // NewSession returns a session for one node at the given link RSSI.
@@ -44,7 +46,7 @@ func NewSession(node *Node, rssiDBm float64, seed int64) *Session {
 		RSSIdBm:    rssiDBm,
 		PHY:        BackboneParams(),
 		MaxRetries: 50,
-		rng:        rand.New(rand.NewSource(seed)),
+		loss:       newLossModel(seed),
 	}
 }
 
@@ -67,9 +69,34 @@ const (
 	reqPayloadLen  = frameOverhead + manifestLen
 )
 
-func (s *Session) lost(payloadLen int) bool {
-	per := lora.PacketErrorRate(s.PHY, payloadLen, s.RSSIdBm, radio.SX1276NoiseFigureDB)
-	return s.rng.Float64() < per
+// lossModel draws frame losses from the analytic LoRa link model for
+// unicast and broadcast sessions alike. A session's PHY and noise figure
+// never change, so the packet error rate depends only on (RSSI, payload
+// length) and is computed once per pair. Every frame still takes exactly
+// one rng draw, so the memo leaves the loss stream unchanged.
+type lossModel struct {
+	rng *rand.Rand
+	per map[lossKey]float64
+}
+
+type lossKey struct {
+	rssiDBm    float64
+	payloadLen int
+}
+
+func newLossModel(seed int64) lossModel {
+	return lossModel{rng: rand.New(rand.NewSource(seed)), per: make(map[lossKey]float64)}
+}
+
+// lost draws whether a frame of payloadLen bytes at rssiDBm is lost.
+func (l *lossModel) lost(phy lora.Params, rssiDBm float64, payloadLen int) bool {
+	k := lossKey{rssiDBm, payloadLen}
+	per, ok := l.per[k]
+	if !ok {
+		per = lora.PacketErrorRate(phy, payloadLen, rssiDBm, radio.SX1276NoiseFigureDB)
+		l.per[k] = per
+	}
+	return l.rng.Float64() < per
 }
 
 // airTime is the on-air duration of a backbone packet with n payload bytes.
@@ -92,7 +119,7 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 		}
 		// AP transmit.
 		clock.Advance(s.airTime(len(wire)) + apProcessing)
-		if s.lost(len(wire)) {
+		if s.loss.lost(s.PHY, s.RSSIdBm, len(wire)) {
 			// Node missed it; AP times out waiting for the reply.
 			clock.Advance(s.airTime(replyLen) + nodeProcessing)
 			retries++
@@ -109,7 +136,7 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 		// Node turnaround and reply.
 		clock.Advance(radio.RXToTXTime + nodeProcessing)
 		clock.Advance(s.airTime(replyLen))
-		if s.lost(replyLen) {
+		if s.loss.lost(s.PHY, s.RSSIdBm, replyLen) {
 			retries++
 			continue
 		}
