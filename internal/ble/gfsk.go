@@ -103,7 +103,7 @@ type Demodulator struct {
 
 	// Scratch arena, grown to the largest signal seen.
 	freq []float64 // instantaneous frequency track
-	bits []int     // candidate-bit scan buffer (Receive only)
+	dec  []bool    // per-offset bit decisions for the access-address scan (Receive only)
 }
 
 // NewDemodulator returns a receiver matching the modulator's oversampling.
@@ -186,36 +186,43 @@ func (d *Demodulator) DemodBits(sig iq.Samples, startOffset, nbits int) []int {
 
 // Receive locates one beacon in sig by scanning bit-timing offsets for the
 // preamble + access address, then decodes and validates the whole packet.
-// maxLen bounds the advertising-data length to try.
 func (d *Demodulator) Receive(sig iq.Samples, channel int) (Beacon, error) {
 	const aaBits = 5 * 8 // preamble + access address
-	want := make([]int, 0, aaBits)
 	aa := uint32(AccessAddress)
 	aahdr := [5]byte{Preamble, byte(aa), byte(aa >> 8), byte(aa >> 16), byte(aa >> 24)}
-	want = append(want, AirBits(aahdr[:])...)
+	want := AirBits(aahdr[:])
 
 	// Discriminate once and scan bit-timing offsets over the cached
 	// frequency track — the filter is the dominant cost and is identical
 	// for every offset.
 	freq := d.discriminate(sig)
-	if cap(d.bits) < aaBits {
-		d.bits = make([]int, 0, aaBits)
-	}
 	limit := len(sig) - (aaBits+8)*d.SPS
-	for off := 0; off <= limit; off++ {
-		// aaBits never exceeds d.bits's preallocated capacity, so
-		// sliceBits fills the same backing array every iteration.
-		got := d.sliceBits(d.bits, freq, off, aaBits)
-		if len(got) < aaBits {
-			break
+	// The integrate-and-dump decision of the bit starting at each sample
+	// offset, summed in sliceBits' order so it equals the bit sliceBits
+	// returns there: every offset's 40 training bits are then table reads
+	// instead of 40 fresh SPS-sample integrations.
+	n := max(limit+(aaBits-1)*d.SPS+1, 0)
+	if cap(d.dec) < n {
+		d.dec = make([]bool, n)
+	}
+	dec := d.dec[:n]
+	for off := range dec {
+		var acc float64
+		for _, f := range freq[off : off+d.SPS] {
+			acc += f
 		}
-		match := 0
-		for i := range got {
-			if got[i] == want[i] {
-				match++
+		dec[off] = acc >= 0
+	}
+	for off := 0; off <= limit; off++ {
+		miss := 0
+		for i, b := range want {
+			if dec[off+i*d.SPS] != (b == 1) {
+				if miss++; miss > 2 { // allow up to 2 training errors
+					break
+				}
 			}
 		}
-		if match < aaBits-2 { // allow up to 2 training errors
+		if miss > 2 {
 			continue
 		}
 		// Decode the header to learn the length, then the full PDU.

@@ -33,9 +33,14 @@ import (
 // itself mutates only its argument and performs no locking and no
 // allocation.
 type FFTPlan struct {
-	n   int
-	w   []complex128 // 3n/4 twiddles e^{-2πik/n} (radix-4 needs w^{3k})
-	rev []int32      // bit-reversal permutation, rev[i] < i entries swap
+	n int
+	// w holds the twiddles stage by stage, in ladder order. The radix-4
+	// stage of span size gets one contiguous run of 3·size values: w^k,
+	// then w^{2k}, then w^{3k} for k < size, where w = e^{-2πi·step/n} and
+	// step = n/(4·size). A span-1 first stage multiplies only by w^0 and
+	// stores nothing.
+	w   []complex128
+	rev []int32 // bit-reversal permutation, rev[i] < i entries swap
 }
 
 // NewFFTPlan returns a plan for size n. n must be a positive power of two;
@@ -46,13 +51,20 @@ func NewFFTPlan(n int) *FFTPlan {
 		panic(fmt.Sprintf("dsp: FFT size %d is not a power of two", n))
 	}
 	p := &FFTPlan{n: n}
-	// The radix-4 butterflies reach twiddle index 3k < 3n/4; the table
-	// keeps the exact same e^{-2πik/n} values the radix-2 datapath used,
-	// just 3n/4 of them instead of n/2.
-	p.w = make([]complex128, 3*n/4)
-	for i := range p.w {
-		ang := -2 * math.Pi * float64(i) / float64(n)
-		p.w[i] = complex(math.Cos(ang), math.Sin(ang))
+	// Every twiddle is e^{-2πij/n} for its exponent j = m·k·step (m = 1, 2,
+	// 3), computed from j alone: an exponent gets the same bits in every
+	// stage, as in the reference ladder the transform must match exactly.
+	twiddle := func(j int) complex128 {
+		ang := -2 * math.Pi * float64(j) / float64(n)
+		return complex(math.Cos(ang), math.Sin(ang))
+	}
+	for size := firstTwiddleSpan(n); size < n; size *= 4 {
+		step := n / (size * 4)
+		for m := 1; m <= 3; m++ {
+			for k := 0; k < size; k++ {
+				p.w = append(p.w, twiddle(m*k*step))
+			}
+		}
 	}
 	p.rev = make([]int32, n)
 	for i, j := 0, 0; i < n; i++ {
@@ -70,49 +82,66 @@ func NewFFTPlan(n int) *FFTPlan {
 // Size returns the transform size the plan was built for.
 func (p *FFTPlan) Size() int { return p.n }
 
+// firstTwiddleSpan is the span of the ladder's first radix-4 stage with
+// twiddles: 2 after the radix-2 seed stage when log2(n) is odd, else 4
+// after the multiply-free span-1 stage.
+func firstTwiddleSpan(n int) int {
+	if bits.TrailingZeros(uint(n))&1 == 1 {
+		return 2
+	}
+	return 4
+}
+
 // butterflies runs the full DIT butterfly ladder over x, which must already
 // be in bit-reversed order: one multiply-free radix-2 seed stage when
 // log2(n) is odd, then radix-4 stages. With base-2 bit reversal the four
 // size-M sub-DFTs of a 4M block sit in decimation order A, C, B, D (phases
 // 0, 2, 1, 3 of the input interleave), which is what the twiddle assignment
-// below encodes.
+// below encodes. A span-1 first stage runs without multiplies: its only
+// twiddle is w^0 = 1−0i, and skipping the multiply changes at most the sign
+// of an exact zero.
 func (p *FFTPlan) butterflies(x iq.Samples) {
 	n := p.n
 	if n == 1 {
 		return
 	}
-	w := p.w
-	size := 1
-	if bits.TrailingZeros(uint(n))&1 == 1 {
+	size := firstTwiddleSpan(n)
+	if size == 2 {
 		for i := 0; i < n; i += 2 {
 			u, t := x[i], x[i+1]
 			x[i], x[i+1] = u+t, u-t
 		}
-		size = 2
+	} else {
+		for i := 0; i < n; i += 4 {
+			q := x[i : i+4 : i+4]
+			a, t2, t1, t3 := q[0], q[1], q[2], q[3]
+			ap, am := a+t2, a-t2
+			bp, bm := t1+t3, t1-t3
+			jb := complex(imag(bm), -real(bm))
+			q[0], q[1], q[2], q[3] = ap+bp, am+jb, ap-bp, am-jb
+		}
 	}
+	w := p.w
 	for ; size < n; size *= 4 {
-		step := n / (size * 4)
+		w1, w2, w3 := w[:size], w[size:2*size], w[2*size:3*size]
+		w = w[3*size:]
 		for start := 0; start < n; start += size * 4 {
-			j1, j2, j3 := 0, 0, 0
-			for k := 0; k < size; k++ {
-				i0 := start + k
-				i1 := i0 + size
-				i2 := i1 + size
-				i3 := i2 + size
-				a := x[i0]
-				t2 := w[j2] * x[i1] // w^{2k} · C (phase-2 sub-DFT)
-				t1 := w[j1] * x[i2] // w^k · B (phase-1 sub-DFT)
-				t3 := w[j3] * x[i3] // w^{3k} · D (phase-3 sub-DFT)
+			xa := x[start : start+size]
+			xc := x[start+size : start+2*size][:len(xa)]
+			xb := x[start+2*size : start+3*size][:len(xa)]
+			xd := x[start+3*size : start+4*size][:len(xa)]
+			w1, w2, w3 := w1[:len(xa)], w2[:len(xa)], w3[:len(xa)]
+			for k, a := range xa {
+				t2 := w2[k] * xc[k] // w^{2k} · C (phase-2 sub-DFT)
+				t1 := w1[k] * xb[k] // w^k · B (phase-1 sub-DFT)
+				t3 := w3[k] * xd[k] // w^{3k} · D (phase-3 sub-DFT)
 				ap, am := a+t2, a-t2
 				bp, bm := t1+t3, t1-t3
 				jb := complex(imag(bm), -real(bm)) // -j·(t1-t3), multiply-free
-				x[i0] = ap + bp
-				x[i1] = am + jb
-				x[i2] = ap - bp
-				x[i3] = am - jb
-				j1 += step
-				j2 += 2 * step
-				j3 += 3 * step
+				xa[k] = ap + bp
+				xc[k] = am + jb
+				xb[k] = ap - bp
+				xd[k] = am - jb
 			}
 		}
 	}
@@ -199,7 +228,8 @@ func PlanFFT(n int) *FFTPlan {
 // IsPowerOfTwo reports whether n is a positive power of two.
 func IsPowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// FFT computes the in-place radix-2 decimation-in-time FFT of x.
+// FFT computes the in-place decimation-in-time FFT of x through the shared
+// plan for its size (radix-4 stages, see FFTPlan).
 // len(x) must be a positive power of two; FFT panics otherwise, mirroring
 // the fixed-size FFT core configured on the FPGA.
 func FFT(x iq.Samples) { PlanFFT(len(x)).Transform(x) }

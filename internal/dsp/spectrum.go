@@ -169,43 +169,35 @@ func (w *WelchPlan) Size() int { return len(w.win) }
 // into a single window and the calibration scaled by the populated window
 // fraction, so a tone reads its true power regardless of capture length
 // (normalizing a partial window by the full-window coherent gain
-// under-read short captures). It performs no heap allocation.
+// under-read short captures). When the populated window has no mass (an
+// empty or one-sample capture: Hann's first tap is 0), nothing calibrates
+// and every bin reads -Inf. It performs no heap allocation.
 func (w *WelchPlan) EstimateInto(dst []float64, x iq.Samples, sampleRate float64) Spectrum {
 	n := len(w.win)
 	if len(dst) != n {
 		panic("dsp: Welch dst length must equal the plan's FFT size")
 	}
-	for i := range w.acc {
-		w.acc[i] = 0
-	}
+	clear(w.acc)
 	segments := 0
-	for start := 0; start+n <= len(x); start += n / 2 {
-		for i := range w.seg {
-			w.seg[i] = x[start+i] * complex(w.win[i], 0)
-		}
-		w.plan.Transform(w.seg)
-		for i, v := range w.seg {
-			w.acc[i] += real(v)*real(v) + imag(v)*imag(v)
-		}
+	// Segments overlap by half; a one-point plan hops by one sample.
+	for start := 0; start+n <= len(x); start += max(n/2, 1) {
+		w.periodogram(x[start : start+n])
 		segments++
 	}
 	coherent := w.winSum[n] / float64(n)
 	if segments == 0 {
 		// Input shorter than one segment: zero-pad a single window and
 		// calibrate against the window mass the capture actually filled.
-		for i := range w.seg {
-			if i < len(x) {
-				w.seg[i] = x[i] * complex(w.win[i], 0)
-			} else {
-				w.seg[i] = 0
-			}
-		}
-		w.plan.Transform(w.seg)
-		for i, v := range w.seg {
-			w.acc[i] = real(v)*real(v) + imag(v)*imag(v)
-		}
+		w.periodogram(x)
 		segments = 1
-		coherent = w.winSum[min(len(x), n)] / float64(n)
+		coherent = w.winSum[len(x)] / float64(n)
+	}
+	spec := Spectrum{SampleRate: sampleRate, PowerDBm: dst, ENBWBins: w.enbw}
+	if coherent == 0 {
+		for i := range dst {
+			dst[i] = math.Inf(-1)
+		}
+		return spec
 	}
 
 	norm := 1 / (float64(segments) * float64(n) * float64(n) * coherent * coherent)
@@ -214,7 +206,26 @@ func (w *WelchPlan) EstimateInto(dst []float64, x iq.Samples, sampleRate float64
 		src := (i + n/2) % n
 		dst[i] = iq.MilliwattsToDBm(w.acc[src] * norm)
 	}
-	return Spectrum{SampleRate: sampleRate, PowerDBm: dst, ENBWBins: w.enbw}
+	return spec
+}
+
+// periodogram adds the squared FFT magnitudes of one Hann-windowed segment
+// of at most the plan's size (zero-padded past len(seg)) to acc. The
+// window is applied as two real multiplies while scattering the samples
+// straight into bit-reversed order, the DechirpTransformInto pattern, so
+// the butterflies run with no separate permutation pass.
+func (w *WelchPlan) periodogram(seg iq.Samples) {
+	if len(seg) < len(w.seg) {
+		clear(w.seg)
+	}
+	rev, win := w.plan.rev[:len(seg)], w.win[:len(seg)]
+	for i, v := range seg {
+		w.seg[rev[i]] = complex(real(v)*win[i], imag(v)*win[i])
+	}
+	w.plan.butterflies(w.seg)
+	for i, v := range w.seg {
+		w.acc[i] += real(v)*real(v) + imag(v)*imag(v)
+	}
 }
 
 // Welch estimates the power spectrum of x by averaging Hann-windowed

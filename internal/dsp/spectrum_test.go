@@ -49,6 +49,42 @@ func TestWelchShortInputCalibration(t *testing.T) {
 	}
 }
 
+// TestWelchNoWindowMassReadsMinusInf pins the zero-mass calibration: a
+// capture whose populated Hann window has no mass (empty, or one sample,
+// since Hann's first tap is 0) carries no calibrated power, so every bin
+// and every band integral reads -Inf where the division by that zero mass
+// used to read NaN. A two-sample silent capture has mass and reads -Inf
+// through the ordinary path.
+func TestWelchNoWindowMassReadsMinusInf(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		x    iq.Samples
+	}{{"empty", nil}, {"one-sample tone", iq.Samples{1}}, {"two silent samples", iq.Samples{0, 0}}} {
+		s := Welch(c.x, 8, 1e6)
+		for i, p := range s.PowerDBm {
+			if !math.IsInf(p, -1) {
+				t.Fatalf("%s: bin %d reads %v, want -Inf", c.name, i, p)
+			}
+		}
+		if got := s.BandPowerDBm(-5e5, 5e5); !math.IsInf(got, -1) {
+			t.Errorf("%s: band power %v, want -Inf", c.name, got)
+		}
+	}
+}
+
+// TestWelchOnePointPlanTerminates pins the one-point segment walk: n/2
+// is 0 there, and the walk never advanced (tinysdr-sense sweep -fft 1
+// hung). Each sample is now its own segment, so the estimate is the
+// capture's mean power.
+func TestWelchOnePointPlanTerminates(t *testing.T) {
+	x := NewNCO(0.1).Generate(16)
+	iq.Samples(x).ScaleToDBm(-30)
+	got := Welch(x, 1, 1e6).PowerDBm[0]
+	if want := iq.MilliwattsToDBm(iq.Samples(x).Power()); math.Abs(got-want) > 1e-9 {
+		t.Errorf("one-point Welch reads %v dBm, want the mean power %v dBm", got, want)
+	}
+}
+
 func TestWelchPlanMatchesWelch(t *testing.T) {
 	x := NewNCO(0.2).Generate(4096)
 	iq.Samples(x).ScaleToDBm(-30)

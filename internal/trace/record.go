@@ -154,11 +154,16 @@ func NewSource(t *Trace) (*PacketSource, error) {
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
+	return newSource(t), nil
+}
+
+// newSource returns a Source over a trace the caller has validated.
+func newSource(t *Trace) *PacketSource {
 	codes := make(map[uint64][]byte, len(t.Blobs))
 	for i := range t.Blobs {
 		codes[t.Blobs[i].Hash] = t.Blobs[i].Codes
 	}
-	return &PacketSource{m: &t.Manifest, codes: codes, device: "trace:" + t.Manifest.PHY}, nil
+	return &PacketSource{m: &t.Manifest, codes: codes, device: "trace:" + t.Manifest.PHY}
 }
 
 // Name implements Source.
@@ -189,15 +194,19 @@ func (s *PacketSource) ReadPacket(k int) (iq.Samples, error) {
 // returning a Link whose packets come from the trace instead of a live
 // modulator and channel.
 func OpenReplay(t *Trace) (*phy.Link, error) {
-	src, err := NewSource(t)
-	if err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
+	return openReplay(t)
+}
+
+// openReplay is OpenReplay over a trace the caller has validated.
+func openReplay(t *Trace) (*phy.Link, error) {
 	rx, err := phy.New(t.Manifest.PHY)
 	if err != nil {
 		return nil, err
 	}
-	return phy.OpenReplay(src, rx)
+	return phy.OpenReplay(newSource(t), rx)
 }
 
 // powerTap measures per-packet received power during replay, matching the
@@ -222,7 +231,8 @@ type packetResult struct {
 }
 
 // replay runs every packet of the trace across a worker pool, each worker
-// holding its own RX modem and source. Per-packet results are indexed by
+// holding its own RX modem and source. The trace is validated, and its
+// blobs hashed, once for all workers. Per-packet results are indexed by
 // packet, so aggregation order — and therefore every derived metric bit —
 // is independent of the worker count.
 func replay(t *Trace, workers int) ([]packetResult, error) {
@@ -236,7 +246,7 @@ func replay(t *Trace, workers int) ([]packetResult, error) {
 	}
 	return par.Trials(par.ResolveWorkers(workers), n,
 		func() (*state, error) {
-			link, err := OpenReplay(t)
+			link, err := openReplay(t)
 			if err != nil {
 				return nil, err
 			}

@@ -255,18 +255,31 @@ func TestVerifyDetectsTamperedManifest(t *testing.T) {
 	}
 }
 
+// TestSourceValidatesTrace pins validation at every entry point:
+// NewSource, OpenReplay, Replay and Verify each reject a trace missing its
+// blobs and one whose blob content does not match its hash.
 func TestSourceValidatesTrace(t *testing.T) {
 	tr := recordReference(t, "ble", 2)
-	missing := &Trace{Manifest: tr.Manifest} // no blobs
-	if _, err := NewSource(missing); err == nil {
-		t.Error("missing blobs accepted")
-	}
 	corrupt := &Trace{Manifest: tr.Manifest, Blobs: make([]Blob, len(tr.Blobs))}
 	copy(corrupt.Blobs, tr.Blobs)
 	corrupt.Blobs[0] = Blob{Hash: corrupt.Blobs[0].Hash, Codes: append([]byte(nil), corrupt.Blobs[0].Codes...)}
 	corrupt.Blobs[0].Codes[0] ^= 0x01
-	if _, err := NewSource(corrupt); err == nil {
-		t.Error("blob content not matching its hash accepted")
+	for _, bad := range []struct {
+		name string
+		t    *Trace
+	}{{"missing blobs", &Trace{Manifest: tr.Manifest}}, {"blob content not matching its hash", corrupt}} {
+		if _, err := NewSource(bad.t); err == nil {
+			t.Errorf("NewSource: %s accepted", bad.name)
+		}
+		if _, err := OpenReplay(bad.t); err == nil {
+			t.Errorf("OpenReplay: %s accepted", bad.name)
+		}
+		if _, err := Replay(bad.t, 2); err == nil {
+			t.Errorf("Replay: %s accepted", bad.name)
+		}
+		if err := Verify(bad.t, 1); err == nil {
+			t.Errorf("Verify: %s accepted", bad.name)
+		}
 	}
 	src, err := NewSource(tr)
 	if err != nil {
