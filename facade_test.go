@@ -15,6 +15,7 @@ import (
 	"go/token"
 	"math"
 	"os"
+	"os/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -125,6 +126,23 @@ func surfaceDiff(want, got string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestFacadeLinksNoTooling keeps the static-analysis toolchain out of
+// every program that imports the facade: cmd/tinysdr-vet drives
+// internal/lint itself, and the library must not link it or the go/types
+// and os/exec machinery it loads packages with.
+func TestFacadeLinksNoTooling(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if strings.HasPrefix(dep, "github.com/uwsdr/tinysdr/internal/lint") ||
+			dep == "go/types" || dep == "os/exec" {
+			t.Errorf("the facade links %s", dep)
+		}
+	}
 }
 
 // Compile-time exercise of every exported symbol, in golden-list order: a

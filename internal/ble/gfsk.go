@@ -213,17 +213,13 @@ func (d *Demodulator) Receive(sig iq.Samples, channel int) (Beacon, error) {
 		}
 		dec[off] = acc >= 0
 	}
+scan:
 	for off := 0; off <= limit; off++ {
-		miss := 0
 		for i, b := range want {
 			if dec[off+i*d.SPS] != (b == 1) {
-				if miss++; miss > 2 { // allow up to 2 training errors
-					break
-				}
+				// ParseAir below rejects any training-bit error.
+				continue scan
 			}
-		}
-		if miss > 2 {
-			continue
 		}
 		// Decode the header to learn the length, then the full PDU.
 		hdrBits := d.sliceBits(make([]int, 0, 16), freq, off+aaBits*d.SPS, 16)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 
 	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/phy"
@@ -17,8 +16,8 @@ import (
 // composed -scenario channel, round-trip the capture through an on-disk
 // store (Put, GC, Get), replay it at the configured worker count AND at
 // one worker, and require every replayed metric to be byte-identical to
-// the recorded run. The table also reports what the store costs: raw
-// capture size, lzo-compressed size on disk, and blob deduplication.
+// the recorded run. The table also reports what the store holds: the
+// capture's code bytes (its size on disk) and blob deduplication.
 func TraceReplay(cfg Config) (*Result, error) {
 	phyName := cfg.PHY
 	if phyName == "" {
@@ -117,20 +116,6 @@ func TraceReplay(cfg Config) (*Result, error) {
 	for _, b := range stored.Blobs {
 		rawBytes += len(b.Codes)
 	}
-	storedBytes := 0
-	blobDir := filepath.Join(store.Dir(), "blobs")
-	entries, err := os.ReadDir(blobDir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			return nil, err
-		}
-		storedBytes += int(info.Size())
-	}
-	ratio := float64(rawBytes) / float64(storedBytes)
 	dedup := packets - len(stored.Blobs)
 
 	rows := [][]string{
@@ -141,17 +126,14 @@ func TraceReplay(cfg Config) (*Result, error) {
 		// does not name the resolved pool size.
 		{"Replay determinism", "byte-identical at the configured pool and at 1 worker"},
 		{"Raw capture", fmt.Sprintf("%d bytes in %d blobs (%d deduplicated)", rawBytes, len(stored.Blobs), dedup)},
-		{"On disk (lzo)", fmt.Sprintf("%d bytes, ratio %.2fx", storedBytes, ratio)},
 	}
 	text := RenderTable([]string{"Quantity", "Value"}, rows)
 	return &Result{ID: "tracereplay", Title: "Trace record/replay A/B gate", Text: text,
 		Metrics: map[string]float64{
-			"packets":           float64(recorded.Packets),
-			"per":               recorded.PER,
-			"rssi_dBm":          recorded.RSSIdBm,
-			"raw_bytes":         float64(rawBytes),
-			"stored_bytes":      float64(storedBytes),
-			"compression_ratio": ratio,
-			"blobs":             float64(len(stored.Blobs)),
+			"packets":   float64(recorded.Packets),
+			"per":       recorded.PER,
+			"rssi_dBm":  recorded.RSSIdBm,
+			"raw_bytes": float64(rawBytes),
+			"blobs":     float64(len(stored.Blobs)),
 		}}, nil
 }

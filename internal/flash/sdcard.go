@@ -1,9 +1,6 @@
 package flash
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // SDCard models the microSD interface on tinySDR. The board wires the card
 // to the FPGA's SPI block; SPI mode sustains the 104 Mbps needed to record
@@ -41,11 +38,6 @@ func (c *SDCard) Append(n int) error {
 
 // Used returns the bytes recorded so far.
 func (c *SDCard) Used() int { return c.used }
-
-// WriteTime returns the SPI-mode transfer time for n bytes.
-func (c *SDCard) WriteTime(n int) time.Duration {
-	return time.Duration(float64(n*8) / SPIRate * float64(time.Second))
-}
 
 // CanSustainIQStream reports whether SPI mode keeps up with the live I/Q
 // stream — the design check in §3.2.2 that justified using SPI mode.

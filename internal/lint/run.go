@@ -22,7 +22,7 @@ func Suite() []*Analyzer {
 }
 
 // Analyzer re-exports the shim's analyzer type as the package's public
-// face (the tinysdr facade aliases it for VetAnalyzers).
+// face (cmd/tinysdr-vet runs the Suite).
 type Analyzer = analysis.Analyzer
 
 // Diag is one finding after waiver filtering, with positions resolved.

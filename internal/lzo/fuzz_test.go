@@ -78,3 +78,42 @@ func TestStoreBlocksPanicsOnBadSize(t *testing.T) {
 	}()
 	StoreBlocks([]byte{1}, -1)
 }
+
+// FuzzDecompressLimit drives the decompressor the way the OTA receive
+// path does, with the stream, declared length and cap all off the air: it
+// must never panic, an accepted output must be exactly outLen ≤ maxLen
+// bytes, and Compress of that output must decode back to it.
+func FuzzDecompressLimit(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	sparse := make([]byte, 8<<10) // bitstream-like: mostly unused frames
+	for i := 0; i < len(sparse)/8; i++ {
+		sparse[rng.Intn(len(sparse))] = byte(rng.Intn(256))
+	}
+	noise := make([]byte, 4<<10)
+	rng.Read(noise)
+	for _, img := range [][]byte{
+		make([]byte, 30<<10),
+		bytes.Repeat([]byte("MODULE lora_demodulator PORT(clk, rst_n, iq_in, sym_out); "), 530)[:30<<10],
+		sparse,
+		noise,
+		[]byte("tinysdr"),
+	} {
+		comp := Compress(img, nil)
+		n := uint16(len(img))
+		f.Add(comp, n, n)
+		f.Add(comp, n, n/2) // declared length over the cap
+	}
+	f.Fuzz(func(t *testing.T, src []byte, outLen, maxLen uint16) {
+		out, err := DecompressLimit(src, int(outLen), int(maxLen))
+		if err != nil {
+			return
+		}
+		if len(out) != int(outLen) || outLen > maxLen {
+			t.Fatalf("accepted %d bytes for outLen %d, maxLen %d", len(out), outLen, maxLen)
+		}
+		back, err := DecompressLimit(Compress(out, nil), len(out), len(out))
+		if err != nil || !bytes.Equal(back, out) {
+			t.Fatalf("Compress of the accepted output does not decode back (err %v)", err)
+		}
+	})
+}

@@ -148,8 +148,8 @@ func Decompress(src []byte, outLen int) ([]byte, error) {
 
 // DecompressLimit is Decompress with an explicit ceiling on the declared
 // output length: a corrupt or hostile header whose outLen exceeds maxLen
-// (the caller's known block size — ota.BlockSize, a trace blob's sample
-// count) is rejected before any allocation or parsing.
+// (the caller's known block size, ota.BlockSize) is rejected before any
+// allocation or parsing.
 func DecompressLimit(src []byte, outLen, maxLen int) ([]byte, error) {
 	if outLen < 0 || outLen > maxLen {
 		return nil, fmt.Errorf("lzo: declared output %d outside [0, %d]: %w", outLen, maxLen, ErrCorrupt)

@@ -269,7 +269,7 @@ func BenchmarkDecompressZeroRun(b *testing.B) {
 // BenchmarkDecompressFirmware pins the mixed literal/match path on
 // structured firmware-like data.
 func BenchmarkDecompressFirmware(b *testing.B) {
-	data := bytes.Repeat([]byte("MODULE lora_demodulator PORT(clk, rst_n, iq_in, sym_out); "), 520)[:30*1024]
+	data := bytes.Repeat([]byte("MODULE lora_demodulator PORT(clk, rst_n, iq_in, sym_out); "), 530)[:30*1024]
 	comp := Compress(data, nil)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()

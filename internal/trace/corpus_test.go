@@ -1,7 +1,12 @@
 package trace
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -43,5 +48,65 @@ func TestCommittedCorpusReplays(t *testing.T) {
 		// The corpus must keep exercising the loss-record path, not only
 		// clean captures.
 		t.Error("no committed trace records any packet loss")
+	}
+}
+
+// TestCorpusBlobsAreTheirCodes pins the committed corpus to the store
+// format: every entry under blobs/ is a <16 hex>.iq file holding exactly
+// the codes that hash to its name, and the entries are exactly the blobs
+// the committed manifests reference — no stale file and no orphan.
+func TestCorpusBlobsAreTheirCodes(t *testing.T) {
+	const dir = "../../testdata/traces"
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenced := map[string]bool{}
+	for _, name := range names {
+		wire, err := os.ReadFile(filepath.Join(dir, name+manifestExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Manifest
+		if err := m.UnmarshalBinary(wire); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, p := range m.Packets {
+			referenced[fmt.Sprintf("%016x.iq", p.Hash)] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	present := map[string]bool{}
+	for _, e := range entries {
+		name := e.Name()
+		present[name] = true
+		hex, ok := strings.CutSuffix(name, ".iq")
+		hash, err := strconv.ParseUint(hex, 16, 64)
+		if !ok || err != nil || name != fmt.Sprintf("%016x.iq", hash) {
+			t.Errorf("blobs/%s is not named <16 hex>.iq", name)
+			continue
+		}
+		codes, err := os.ReadFile(filepath.Join(dir, "blobs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := HashCodes(codes); got != hash {
+			t.Errorf("blobs/%s hashes to %016x", name, got)
+		}
+		if !referenced[name] {
+			t.Errorf("blobs/%s: no committed manifest references it", name)
+		}
+	}
+	for name := range referenced {
+		if !present[name] {
+			t.Errorf("blobs/%s is referenced but missing", name)
+		}
 	}
 }

@@ -35,7 +35,7 @@ const (
 	manifestMagic   = "TSIQ"
 	manifestVersion = 1
 
-	// MaxPacketSamples bounds one packet's length (4 MiB of codes): far
+	// MaxPacketSamples bounds one packet's length (16 MiB of codes): far
 	// above any real waveform, low enough that a hostile manifest cannot
 	// demand a huge allocation.
 	MaxPacketSamples = 1 << 22

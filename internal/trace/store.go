@@ -1,37 +1,33 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-
-	"github.com/uwsdr/tinysdr/internal/lzo"
 )
 
 // Store is a content-addressed trace store on a directory:
 //
-//	<dir>/<name>.trace        binary manifest (see manifest.go)
-//	<dir>/blobs/<hash16>.lzo  u32-LE raw length + lzo stream of codes
+//	<dir>/<name>.trace       binary manifest (see manifest.go)
+//	<dir>/blobs/<hash16>.iq  the packet's iq.EncodeInt16 codes, nothing else
 //
-// Blobs are shared between traces (the content address is the FNV-64a of
-// the uncompressed codes), written once and never rewritten; GC removes
-// the ones no manifest references. All writes go through a temp file and
-// rename, so a crashed writer never leaves a half-written manifest or
-// blob under its final name.
+// A blob file holds exactly the bytes its name hashes (FNV-64a, see
+// HashCodes), in the raw format of the golden vectors under
+// internal/{lora,ble}/testdata. Blobs are shared between traces, written
+// once and never rewritten; GC removes the ones no manifest references.
+// All writes go through a temp file and rename, so a crashed writer never
+// leaves a half-written manifest or blob under its final name.
 type Store struct {
 	dir string
 }
 
 const (
 	manifestExt = ".trace"
-	blobExt     = ".lzo"
-	// maxBlobBytes caps a blob's declared decompressed size — the code
-	// bytes of a MaxPacketSamples packet.
-	maxBlobBytes = 4 * MaxPacketSamples
+	blobExt     = ".iq"
 )
 
 // OpenStore opens (creating if needed) a store rooted at dir.
@@ -90,17 +86,15 @@ func (s *Store) Put(name string, t *Trace) error {
 			// exact bytes.
 			continue
 		}
-		comp := make([]byte, 4, 4+len(b.Codes))
-		binary.LittleEndian.PutUint32(comp, uint32(len(b.Codes)))
-		if err := atomicWrite(path, lzo.Compress(b.Codes, comp)); err != nil {
+		if err := atomicWrite(path, b.Codes); err != nil {
 			return err
 		}
 	}
 	return atomicWrite(filepath.Join(s.dir, name+manifestExt), wire)
 }
 
-// Get loads a trace by name, decompresses its blobs and verifies every
-// content hash and packet size.
+// Get loads a trace by name, reads its blobs and verifies every content
+// hash and packet size.
 func (s *Store) Get(name string) (*Trace, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -118,7 +112,7 @@ func (s *Store) Get(name string) (*Trace, error) {
 		if t.Blob(p.Hash) != nil {
 			continue
 		}
-		codes, err := s.readBlob(p.Hash)
+		codes, err := s.readBlob(p)
 		if err != nil {
 			return nil, fmt.Errorf("trace: get %s: %w", name, err)
 		}
@@ -194,20 +188,25 @@ func (s *Store) blobPath(hash uint64) string {
 	return filepath.Join(s.dir, "blobs", fmt.Sprintf("%016x%s", hash, blobExt))
 }
 
-// readBlob loads and decompresses one blob, bounding the declared size
-// before any allocation (the lzo cap fix this store depends on).
-func (s *Store) readBlob(hash uint64) ([]byte, error) {
-	raw, err := os.ReadFile(s.blobPath(hash))
+// readBlob loads the blob of packet p. Its length is fixed by the
+// packet's sample count, which the manifest parser caps, so a file of any
+// other size is refused before anything is allocated.
+func (s *Store) readBlob(p Packet) ([]byte, error) {
+	f, err := os.Open(s.blobPath(p.Hash))
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("blob %016x truncated", hash)
-	}
-	rawLen := int(binary.LittleEndian.Uint32(raw))
-	codes, err := lzo.DecompressLimit(raw[4:], rawLen, maxBlobBytes)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("blob %016x: %w", hash, err)
+		return nil, err
+	}
+	if want := 4 * int64(p.Samples); fi.Size() != want {
+		return nil, fmt.Errorf("blob %016x holds %d bytes, packet wants %d", p.Hash, fi.Size(), want)
+	}
+	codes := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, codes); err != nil {
+		return nil, fmt.Errorf("blob %016x: %w", p.Hash, err)
 	}
 	return codes, nil
 }

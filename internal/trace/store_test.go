@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,6 +32,16 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, tr) {
 		t.Fatal("stored trace did not round-trip")
+	}
+	// A blob file is the codes it is named after, byte for byte.
+	for _, b := range tr.Blobs {
+		raw, err := os.ReadFile(store.blobPath(b.Hash))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, b.Codes) {
+			t.Errorf("blob %016x: file is not its codes", b.Hash)
+		}
 	}
 	names, err := store.List()
 	if err != nil {
@@ -76,6 +87,14 @@ func TestStoreGC(t *testing.T) {
 	if err := store.Put("b", b); err != nil {
 		t.Fatal(err)
 	}
+	// Files that are not <16 hex>.iq blobs, such as an unconverted .lzo
+	// blob of the old layout, are not the store's to collect.
+	foreign := []string{"0123456789abcdef.lzo", "notes.txt", "0123.iq"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(store.Dir(), "blobs", name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Nothing unreferenced yet.
 	removed, err := store.GC()
 	if err != nil {
@@ -106,6 +125,11 @@ func TestStoreGC(t *testing.T) {
 	if _, err := store.Get("a"); err == nil {
 		t.Error("removed trace still loads")
 	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(store.Dir(), "blobs", name)); err != nil {
+			t.Errorf("gc touched %s: %v", name, err)
+		}
+	}
 }
 
 func TestStoreDetectsCorruptBlob(t *testing.T) {
@@ -117,20 +141,22 @@ func TestStoreDetectsCorruptBlob(t *testing.T) {
 	if err := store.Put("c", tr); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate one blob on disk: Get must refuse, whichever of the lzo
-	// stream or the content hash breaks first.
+	// A blob one byte short or one byte long on disk: Get must refuse it
+	// for its size.
 	path := store.blobPath(tr.Blobs[0].Hash)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
-		t.Fatal(err)
+	for _, bad := range [][]byte{raw[:len(raw)-1], append(bytes.Clone(raw), 0)} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Get("c"); err == nil {
+			t.Errorf("blob of %d bytes (want %d) loaded", len(bad), len(raw))
+		}
 	}
-	if _, err := store.Get("c"); err == nil {
-		t.Error("truncated blob loaded")
-	}
-	// A blob whose bytes decompress but hash differently must also fail.
+	// A blob of the right size whose bytes hash differently must also fail.
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

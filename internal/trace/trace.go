@@ -1,6 +1,6 @@
-// Package trace is the record/replay IQ trace store: content-addressed,
-// lzo-compressed captures of the waveforms a phy.Link delivers to its
-// demodulator, with enough metadata to replay them bit-exactly.
+// Package trace is the record/replay IQ trace store: content-addressed
+// captures of the waveforms a phy.Link delivers to its demodulator, with
+// enough metadata to replay them bit-exactly.
 //
 // A trace is recorded through the Device seam (phy.Source / phy.Sink):
 // a Recorder taps the channel output of a live Link and models the
@@ -13,10 +13,10 @@
 // count.
 //
 // On disk (see Store) a trace is one binary manifest plus FNV-addressed
-// blobs of iq.EncodeInt16 codes, compressed with internal/lzo. Identical
-// packets (a clean channel repeating one waveform) deduplicate to one
-// blob. PERFORMANCE.md documents the corpus layout and the determinism
-// contract; testdata/traces holds the committed CI corpus.
+// blobs, each file exactly the iq.EncodeInt16 codes of one packet.
+// Identical packets (a clean channel repeating one waveform) deduplicate
+// to one blob. PERFORMANCE.md documents the corpus layout and the
+// determinism contract; testdata/traces holds the committed CI corpus.
 package trace
 
 import (
@@ -47,7 +47,7 @@ type Meta struct {
 // its sample count, and the per-packet full scale the recording ADC
 // auto-ranged to.
 type Packet struct {
-	// Hash is the FNV-64a of the packet's uncompressed code bytes.
+	// Hash is the FNV-64a of the packet's code bytes.
 	Hash uint64
 	// Samples is the packet length in complex samples.
 	Samples int
@@ -55,7 +55,7 @@ type Packet struct {
 	FullScale float64
 }
 
-// Blob is one content-addressed run of uncompressed iq.EncodeInt16 bytes.
+// Blob is one content-addressed run of iq.EncodeInt16 bytes.
 type Blob struct {
 	Hash  uint64
 	Codes []byte
@@ -102,8 +102,8 @@ func (t *Trace) validate() error {
 	return nil
 }
 
-// HashCodes is the content address of a code blob: FNV-64a over the
-// uncompressed bytes.
+// HashCodes is the content address of a code blob: FNV-64a over its
+// bytes.
 func HashCodes(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -21,8 +21,8 @@
 // Those two properties — allocation-free hot paths and seed-determinism —
 // are also enforced statically: cmd/tinysdr-vet runs stock go vet plus
 // the repo's own analyzers (noallocinto, determinism, goroutinehygiene,
-// seedflow; see VetAnalyzers) and fails on any diagnostic or unreviewed
-// waiver, gated by testdata/vet.golden:
+// seedflow) and fails on any diagnostic or unreviewed waiver, gated by
+// testdata/vet.golden:
 //
 //	go run ./cmd/tinysdr-vet ./...
 //
@@ -74,7 +74,6 @@ import (
 	"github.com/uwsdr/tinysdr/internal/fleet"
 	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/iq"
-	"github.com/uwsdr/tinysdr/internal/lint"
 	"github.com/uwsdr/tinysdr/internal/lora"
 	"github.com/uwsdr/tinysdr/internal/lora/concurrent"
 	"github.com/uwsdr/tinysdr/internal/ota"
@@ -171,7 +170,7 @@ type TracePacket = trace.Packet
 type Trace = trace.Trace
 
 // TraceStore is the on-disk trace store: binary manifests plus shared
-// FNV-addressed, lzo-compressed blobs (see cmd/tinysdr-trace).
+// FNV-addressed blobs of raw iq codes (see cmd/tinysdr-trace).
 type TraceStore = trace.Store
 
 // OpenTraceStore opens (creating if needed) a trace store rooted at dir.
@@ -578,18 +577,3 @@ const (
 	OTAFailFlash       = ota.FailFlash
 	OTAFailProtocol    = ota.FailProtocol
 )
-
-// LintAnalyzer is one static check over the repo's invariants, runnable
-// by cmd/tinysdr-vet or embedded in another driver.
-type LintAnalyzer = lint.Analyzer
-
-// VetAnalyzers returns the repo's invariant analyzers — noallocinto
-// (zero-alloc *Into/*From hot paths), determinism (no ambient
-// randomness, wall clocks or map-order dependence on metrics paths),
-// goroutinehygiene (goroutines confined to internal/par, internal/fleet
-// and cmd/; no sends or handler calls under a mutex) and seedflow
-// (seed-taking functions must be pure functions of their seed) — in the
-// order cmd/tinysdr-vet runs them. Each analyzer's Waiver field names
-// the //lint:<token> that suppresses it; a waiver requires a written
-// reason and is counted against testdata/vet.golden.
-func VetAnalyzers() []*LintAnalyzer { return lint.Suite() }
