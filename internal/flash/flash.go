@@ -6,12 +6,20 @@
 // so regions must be erased (to 0xFF) before programming, and erases happen
 // in 4 KB sectors. Timing helpers expose transfer durations; models never
 // advance the simulation clock themselves.
+//
+// Storage is sparse and recycled: a device holds only the sectors it has
+// programmed since their last erase, and Erase returns those sectors'
+// storage to a pool that every device draws its new sectors from. A host
+// that erases the devices it is done with (fleet campaigns erase each
+// cell's nodes once their results are out) programs the next ones
+// without allocating.
 package flash
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -45,7 +53,7 @@ const (
 // thousands of simulated nodes costs memory proportional to the bytes each
 // node actually stages, not 8 MB per chip.
 type Flash struct {
-	sectors map[int][]byte
+	sectors map[int]*[SectorSize]byte
 	faults  WriteFaults
 }
 
@@ -59,25 +67,34 @@ type WriteFaults interface {
 	FaultWrite(addr int, data []byte) (flipByte, flipBit int, err error)
 }
 
-// erasedSector is one sector in the erased state: new sectors are cloned
+// erasedSector is one sector in the erased state: new sectors are filled
 // from it and reads of sparse sectors copy from it.
 var erasedSector = [SectorSize]byte(bytes.Repeat([]byte{0xFF}, SectorSize))
 
+// sectorPool recycles sector storage across devices: Erase puts back the
+// sectors it reverts and new sectors are taken from it. A pooled sector
+// holds whatever it last stored until it is filled.
+var sectorPool = sync.Pool{New: func() any { return new([SectorSize]byte) }}
+
 // New returns a flash chip in the erased state (all 0xFF), as shipped.
 func New() *Flash {
-	return &Flash{sectors: make(map[int][]byte)}
+	return &Flash{sectors: make(map[int]*[SectorSize]byte)}
 }
 
 // SetWriteFaults installs (or, with nil, removes) the program-time fault
 // injector. Reads and erases are unaffected.
 func (f *Flash) SetWriteFaults(w WriteFaults) { f.faults = w }
 
-// sector returns the backing storage for one sector, materializing it in
-// the erased state on first touch.
-func (f *Flash) sector(idx int) []byte {
+// sector returns the backing storage for one sector, taking it from the
+// pool on first touch. A new sector is filled erased unless whole is set:
+// the caller is about to overwrite all of it.
+func (f *Flash) sector(idx int, whole bool) *[SectorSize]byte {
 	s, ok := f.sectors[idx]
 	if !ok {
-		s = append([]byte(nil), erasedSector[:]...)
+		s = sectorPool.Get().(*[SectorSize]byte)
+		if !whole {
+			*s = erasedSector
+		}
 		f.sectors[idx] = s
 	}
 	return s
@@ -106,9 +123,24 @@ func (f *Flash) Erase(addr, n int) error {
 	if end > Size {
 		end = Size
 	}
-	// Erased sectors revert to the sparse representation.
-	for idx := addr / SectorSize; idx < end/SectorSize; idx++ {
-		delete(f.sectors, idx)
+	// Erased sectors revert to the sparse representation and their storage
+	// goes back to the pool. A range wider than the populated map (a whole
+	// device) walks the map instead of every index.
+	first, last := addr/SectorSize, end/SectorSize
+	if last-first > len(f.sectors) {
+		for idx, s := range f.sectors {
+			if idx >= first && idx < last {
+				delete(f.sectors, idx)
+				sectorPool.Put(s)
+			}
+		}
+		return nil
+	}
+	for idx := first; idx < last; idx++ {
+		if s, ok := f.sectors[idx]; ok {
+			delete(f.sectors, idx)
+			sectorPool.Put(s)
+		}
 	}
 	return nil
 }
@@ -154,7 +186,7 @@ func (f *Flash) Program(addr int, data []byte) error {
 		}
 	}
 	if err := forSpans(addr, len(data), func(idx, in, off, span int) error {
-		copy(f.sector(idx)[in:in+span], data[off:off+span])
+		copy(f.sector(idx, span == SectorSize)[in:in+span], data[off:off+span])
 		return nil
 	}); err != nil {
 		return err
@@ -162,26 +194,34 @@ func (f *Flash) Program(addr int, data []byte) error {
 	// Bit-rot corrupts the stored copy only, never the caller's buffer.
 	if flipByte >= 0 && flipByte < len(data) {
 		at := addr + flipByte
-		f.sector(at / SectorSize)[at%SectorSize] ^= 1 << (flipBit & 7)
+		f.sector(at/SectorSize, false)[at%SectorSize] ^= 1 << (flipBit & 7)
 	}
 	return nil
 }
 
-// Read copies n bytes starting at addr.
+// Read copies n bytes starting at addr into a new buffer.
 func (f *Flash) Read(addr, n int) ([]byte, error) {
 	if err := f.bounds(addr, n); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	_ = forSpans(addr, n, func(idx, in, off, span int) error {
+	return out, f.ReadInto(out, addr)
+}
+
+// ReadInto fills dst with the len(dst) bytes starting at addr. It
+// allocates nothing.
+func (f *Flash) ReadInto(dst []byte, addr int) error {
+	if err := f.bounds(addr, len(dst)); err != nil {
+		return err
+	}
+	return forSpans(addr, len(dst), func(idx, in, off, span int) error {
 		s, ok := f.sectors[idx]
 		if !ok {
-			s = erasedSector[:]
+			s = &erasedSector
 		}
-		copy(out[off:off+span], s[in:in+span])
+		copy(dst[off:off+span], s[in:in+span])
 		return nil
 	})
-	return out, nil
 }
 
 // forSpans decomposes the device range [addr, addr+n) into per-sector

@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -174,6 +175,130 @@ func TestProgramRejectsFirstNonErasableByte(t *testing.T) {
 		if got[i] != 0xFF || got[len(got)-1-i] != 0xFF {
 			t.Fatal("margin around programmed span not erased")
 		}
+	}
+}
+
+// TestRecycledSectorsHoldNoOldData programs a device fully, erases it so
+// its sectors go back to the pool, then programs a fresh device with a
+// partial span, a whole sector and a span that straddles a whole sector.
+// The fresh device must read erased outside its writes and exactly its
+// data inside, the NOR check and bit-rot must act on what it stored, and
+// the erased device must read erased.
+func TestRecycledSectorsHoldNoOldData(t *testing.T) {
+	const span = 8 * SectorSize
+	for round := 0; round < 4; round++ {
+		a := New()
+		if err := a.Program(0, make([]byte, span)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Erase(0, Size); err != nil {
+			t.Fatal(err)
+		}
+
+		b := New()
+		want := bytes.Repeat([]byte{0xFF}, span)
+		write := func(addr, n int) {
+			t.Helper()
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(i*13+round) &^ 0x80
+			}
+			if err := b.Program(addr, data); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[addr:], data)
+		}
+		write(100, 50)                        // partial span
+		write(2*SectorSize, SectorSize)       // one whole sector
+		write(4*SectorSize-10, SectorSize+20) // partial, whole, partial
+		got, err := b.Read(0, span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("round %d: byte %#x reads %#02x, want %#02x", round, i, got[i], want[i])
+		}
+		if got, _ := a.Read(0, span); firstDiff(got, bytes.Repeat([]byte{0xFF}, span)) >= 0 {
+			t.Fatalf("round %d: erased device does not read erased", round)
+		}
+
+		// The NOR check sees the stored bytes of a recycled whole sector.
+		at := 2*SectorSize + 77
+		err = b.Program(at, []byte{want[at] | 0x80})
+		if msg := fmt.Sprintf("flash: program at %#x requires erase (stored %#02x, want %#02x)",
+			at, want[at], want[at]|0x80); err == nil || err.Error() != msg {
+			t.Fatalf("round %d: bit-setting program gave %v, want %q", round, err, msg)
+		}
+
+		// Bit-rot flips one stored bit of a recycled whole sector.
+		b.SetWriteFaults(&stubFaults{flipByte: 9, flipBit: 2})
+		write(6*SectorSize, SectorSize)
+		b.SetWriteFaults(nil)
+		want[6*SectorSize+9] ^= 1 << 2
+		if got, _ := b.Read(0, span); firstDiff(got, want) >= 0 {
+			t.Fatalf("round %d: bit-rot on a whole-sector write: byte %#x differs", round, firstDiff(got, want))
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestEraseWideRange erases a range wider than the populated map, which
+// walks the map: sectors inside revert, sectors on either side keep their
+// bytes.
+func TestEraseWideRange(t *testing.T) {
+	f := New()
+	sectors := []int{0, 3, 4, 200, 203, 204, 2047}
+	for _, idx := range sectors {
+		if err := f.Program(idx*SectorSize, []byte{0x5A}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Erase(4*SectorSize, 199*SectorSize+1); err != nil { // sectors 4..203
+		t.Fatal(err)
+	}
+	for _, idx := range sectors {
+		want := byte(0x5A)
+		if idx >= 4 && idx <= 203 {
+			want = 0xFF
+		}
+		if got, _ := f.Read(idx*SectorSize, 1); got[0] != want {
+			t.Errorf("sector %d reads %#02x, want %#02x", idx, got[0], want)
+		}
+	}
+}
+
+// TestReadIntoMatchesRead reads erased, programmed and cross-sector spans
+// into caller storage without allocating.
+func TestReadIntoMatchesRead(t *testing.T) {
+	f := New()
+	data := make([]byte, 2*SectorSize)
+	for i := range data {
+		data[i] = byte(i * 5)
+	}
+	if err := f.Program(3*SectorSize-7, data); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 3*SectorSize)
+	for _, addr := range []int{0, 3*SectorSize - 100, 5 * SectorSize} {
+		want, _ := f.Read(addr, len(dst))
+		if err := f.ReadInto(dst, addr); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("ReadInto at %#x: err %v, equal %v", addr, err, bytes.Equal(dst, want))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = f.ReadInto(dst, 2*SectorSize) }); allocs != 0 {
+		t.Errorf("ReadInto allocates %.0f times", allocs)
+	}
+	if err := f.ReadInto(dst, Size-SectorSize); err == nil {
+		t.Error("ReadInto past the device accepted")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/fault"
+	"github.com/uwsdr/tinysdr/internal/flash"
 	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/ota"
 	"github.com/uwsdr/tinysdr/internal/par"
@@ -388,6 +389,13 @@ func faultSeed(seed int64, shard int) int64 {
 func runShard(ctx context.Context, spec Spec, u *ota.Update, design *fpga.Design, shard, size, workers int) (ShardResult, error) {
 	campusSeed, protoSeed := shardSeeds(spec.Seed, shard)
 	campus := testbed.NewCampusN(campusSeed, size)
+	// Once the cell's results are out, erasing its devices hands their
+	// flash storage back for the next cell, and the next campaign, to use.
+	defer func() {
+		for _, n := range campus.Nodes {
+			_ = n.OTA.Flash.Erase(0, flash.Size) // aligned and in bounds
+		}
+	}()
 	base := shard * spec.ShardSize
 	out := ShardResult{Shard: shard}
 

@@ -187,3 +187,21 @@ func TestCampaignResultGolden(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkRunBroadcast runs the campaign of the sdrbench `campaign`
+// workload in process: a 40-node broadcast of the default MCU image over
+// two 20-node cells at one worker. Run it with -benchmem to read the
+// bytes a campaign allocates.
+func BenchmarkRunBroadcast(b *testing.B) {
+	spec := Spec{
+		Seed: 1, Nodes: 40, ShardSize: 20,
+		Mode: ModeBroadcast, Image: ImageMCU, ImageKB: DefaultImageKB,
+		Workers: 1,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -520,19 +520,8 @@ func (s *Server) killLocked() {
 	close(s.crashed)
 }
 
-// Kill simulates a control-plane SIGKILL for chaos testing: in-flight
-// campaigns are cut immediately (mid-shard work is discarded — only
-// journaled shards survive, as with a real kill) and the server stops
-// journaling. The state dir is left exactly as `kill -9` would leave it;
-// OpenServer on it must recover every campaign.
-func (s *Server) Kill() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.killLocked()
-}
-
 // CrashAfterAppends arms the deterministic crash point of the fleetcrash
-// chaos harness: the server Kills itself immediately after the n-th
+// chaos harness: the server kills itself immediately after the n-th
 // journal record append from now. Arm it before creating campaigns; n <= 0
 // disarms.
 func (s *Server) CrashAfterAppends(n int) {
@@ -545,8 +534,8 @@ func (s *Server) CrashAfterAppends(n int) {
 	s.crashAfter = n
 }
 
-// Crashed closes when the server kills itself (Kill or an armed
-// CrashAfterAppends firing) — the chaos harness's signal to "restart".
+// Crashed closes when the server kills itself (an armed CrashAfterAppends
+// firing) — the chaos harness's signal to "restart".
 func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 
 // Handler returns the JSON API:

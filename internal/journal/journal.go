@@ -205,7 +205,11 @@ func (j *Journal) Compact(recs []Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: compact of closed journal %s", j.path)
 	}
-	out := Header()
+	size := headerLen
+	for _, r := range recs {
+		size += frameOverhead + len(r.Data)
+	}
+	out := append(make([]byte, 0, size), Header()...)
 	for _, r := range recs {
 		var err error
 		if out, err = AppendFrame(out, r); err != nil {

@@ -82,29 +82,23 @@ func TestStoreBlocksPanicsOnBadSize(t *testing.T) {
 // FuzzDecompressLimit drives the decompressor the way the OTA receive
 // path does, with the stream, declared length and cap all off the air: it
 // must never panic, an accepted output must be exactly outLen ≤ maxLen
-// bytes, and Compress of that output must decode back to it.
+// bytes, DecompressInto into a stale 64 kB buffer must accept and reject
+// the same inputs with the same output, and Compress of that output must
+// decode back to it.
 func FuzzDecompressLimit(f *testing.F) {
-	rng := rand.New(rand.NewSource(7))
-	sparse := make([]byte, 8<<10) // bitstream-like: mostly unused frames
-	for i := 0; i < len(sparse)/8; i++ {
-		sparse[rng.Intn(len(sparse))] = byte(rng.Intn(256))
-	}
-	noise := make([]byte, 4<<10)
-	rng.Read(noise)
-	for _, img := range [][]byte{
-		make([]byte, 30<<10),
-		bytes.Repeat([]byte("MODULE lora_demodulator PORT(clk, rst_n, iq_in, sym_out); "), 530)[:30<<10],
-		sparse,
-		noise,
-		[]byte("tinysdr"),
-	} {
+	for _, img := range decompressInputs() {
 		comp := Compress(img, nil)
 		n := uint16(len(img))
 		f.Add(comp, n, n)
 		f.Add(comp, n, n/2) // declared length over the cap
 	}
+	stale := bytes.Repeat([]byte{0xA5}, 64<<10)
 	f.Fuzz(func(t *testing.T, src []byte, outLen, maxLen uint16) {
 		out, err := DecompressLimit(src, int(outLen), int(maxLen))
+		into, intoErr := DecompressInto(stale, src, int(outLen), int(maxLen))
+		if (err == nil) != (intoErr == nil) || !bytes.Equal(into, out) {
+			t.Fatalf("DecompressInto (err %v) disagrees with DecompressLimit (err %v)", intoErr, err)
+		}
 		if err != nil {
 			return
 		}

@@ -149,12 +149,28 @@ func Decompress(src []byte, outLen int) ([]byte, error) {
 // DecompressLimit is Decompress with an explicit ceiling on the declared
 // output length: a corrupt or hostile header whose outLen exceeds maxLen
 // (the caller's known block size, ota.BlockSize) is rejected before any
-// allocation or parsing.
+// allocation or parsing. It returns a fresh buffer; DecompressInto decodes
+// into the caller's.
 func DecompressLimit(src []byte, outLen, maxLen int) ([]byte, error) {
+	return DecompressInto(nil, src, outLen, maxLen)
+}
+
+// DecompressInto is DecompressLimit decoding into dst's storage: the
+// output overwrites dst from its start, whatever dst held, and is returned
+// as dst[:outLen]. When cap(dst) >= outLen it allocates nothing — one
+// block-sized buffer serves every block of an image, as the MCU's single
+// SRAM working buffer does. A smaller dst is replaced by a buffer that
+// grows with the decoded stream, as for DecompressLimit. dst must not
+// overlap src. On error it returns nil, and dst's contents are
+// unspecified.
+func DecompressInto(dst, src []byte, outLen, maxLen int) ([]byte, error) {
 	if outLen < 0 || outLen > maxLen {
 		return nil, fmt.Errorf("lzo: declared output %d outside [0, %d]: %w", outLen, maxLen, ErrCorrupt)
 	}
-	out := make([]byte, 0, min(outLen, initialCap))
+	out := dst[:0]
+	if c := min(outLen, initialCap); cap(out) < c {
+		out = make([]byte, 0, c)
+	}
 	i := 0
 	for i < len(src) {
 		token := src[i]
@@ -216,12 +232,17 @@ func grow(out []byte, n, outLen int) []byte {
 	return bigger
 }
 
+// doubleMinLen is the shortest match whose period under 8 bytes is worth
+// doubling: shorter ones copy byte by byte.
+const doubleMinLen = 64
+
 // matchCopy extends out by length bytes copied from dist bytes back. out
 // must already have the capacity (see grow). Non-overlapping matches are a
 // single copy; overlapping ones (runs with period dist) seed one period and
 // double it, so a long zero-run match costs O(log) copies instead of one
-// byte per iteration — the node reassembly hot path. Very short periods
-// stay byte-wise: the doubling bookkeeping costs more than it saves there.
+// byte per iteration — the node reassembly hot path, where an image's zero
+// tail is one distance-1 match. A short match with a period under 8 bytes
+// stays byte-wise: the doubling bookkeeping costs more than it saves there.
 func matchCopy(out []byte, dist, length int) []byte {
 	n := len(out)
 	out = out[:n+length]
@@ -229,7 +250,7 @@ func matchCopy(out []byte, dist, length int) []byte {
 	switch {
 	case dist >= length:
 		copy(out[n:], out[start:start+length])
-	case dist >= 8:
+	case dist >= 8 || length >= doubleMinLen:
 		copy(out[n:n+dist], out[start:n])
 		for c := dist; c < length; {
 			chunk := min(c, length-c)

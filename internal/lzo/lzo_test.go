@@ -73,6 +73,88 @@ func TestRoundTripPeriodicRuns(t *testing.T) {
 	}
 }
 
+// TestMatchCopyMatchesByteLoop holds every copy path of matchCopy —
+// single copy, doubling above and below the 8-byte period, and the short
+// byte loop — to the byte-at-a-time definition of an LZ77 match, for
+// every distance 1–24 and length 1–600.
+func TestMatchCopyMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	prefix := make([]byte, 24)
+	rng.Read(prefix)
+	for dist := 1; dist <= 24; dist++ {
+		for length := 1; length <= 600; length++ {
+			want := append(make([]byte, 0, len(prefix)+length), prefix...)
+			for k := 0; k < length; k++ {
+				want = append(want, want[len(want)-dist])
+			}
+			got := matchCopy(append(make([]byte, 0, len(prefix)+length), prefix...), dist, length)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("distance %d, length %d: matchCopy differs from the byte loop", dist, length)
+			}
+		}
+	}
+}
+
+// decompressInputs are raw blocks of the shapes an OTA image has, for the
+// decompressor tests to compress: all zeros, repetitive text, a sparse
+// bitstream, noise, and a tiny block.
+func decompressInputs() [][]byte {
+	rng := rand.New(rand.NewSource(7))
+	sparse := make([]byte, 8<<10) // bitstream-like: mostly unused frames
+	for i := 0; i < len(sparse)/8; i++ {
+		sparse[rng.Intn(len(sparse))] = byte(rng.Intn(256))
+	}
+	noise := make([]byte, 4<<10)
+	rng.Read(noise)
+	return [][]byte{
+		make([]byte, 30<<10),
+		bytes.Repeat([]byte("MODULE lora_demodulator PORT(clk, rst_n, iq_in, sym_out); "), 530)[:30<<10],
+		sparse,
+		noise,
+		[]byte("tinysdr"),
+	}
+}
+
+// TestDecompressIntoDirtyBuffer decodes into buffers full of stale bytes,
+// large enough and too small, and requires DecompressLimit's output; a
+// large enough buffer must be decoded in place.
+func TestDecompressIntoDirtyBuffer(t *testing.T) {
+	for i, img := range decompressInputs() {
+		comp := Compress(img, nil)
+		want, err := DecompressLimit(comp, len(img), 30<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{30 << 10, len(img) / 2} {
+			dst := bytes.Repeat([]byte{0xA5}, size)
+			got, err := DecompressInto(dst, comp, len(img), 30<<10)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("input %d into %d stale bytes: err %v, equal %v", i, size, err, bytes.Equal(got, want))
+			}
+			if inPlace := len(got) > 0 && &got[0] == &dst[0]; inPlace != (size >= len(img)) {
+				t.Errorf("input %d into %d bytes: decoded in place %v", i, size, inPlace)
+			}
+		}
+	}
+}
+
+// TestDecompressIntoAllocatesNothing pins the finish path's promise: one
+// block buffer serves every block with no allocation.
+func TestDecompressIntoAllocatesNothing(t *testing.T) {
+	dst := make([]byte, 30<<10)
+	for i, img := range decompressInputs() {
+		comp := Compress(img, nil)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecompressInto(dst, comp, len(img), len(dst)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("input %d: %.0f allocations per DecompressInto", i, allocs)
+		}
+	}
+}
+
 // TestDecompressLimitRejectsOversizedDeclaration pins the hostile-manifest
 // fix: a declared output length beyond the caller's cap (or negative) must
 // fail before any parsing, and a valid stream within the cap still decodes.

@@ -28,8 +28,8 @@ type BroadcastTarget struct {
 type BroadcastSession struct {
 	Targets []BroadcastTarget
 	// PHY is the backbone configuration. It is fixed for the session's
-	// life: the loss model memoizes packet error rates on that premise,
-	// and nothing assigns PHY after NewBroadcastSession.
+	// life: ProgramFleet caches each target's packet error rates on that
+	// premise, and nothing assigns PHY after NewBroadcastSession.
 	PHY lora.Params
 
 	loss lossModel

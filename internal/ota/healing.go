@@ -102,9 +102,12 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 	// and the fleet time is the largest per-node elapsed time.
 	starts := make([]time.Duration, len(s.Targets))
 	nodes := make([]healNode, len(s.Targets))
+	// One loss table per target link, at the RSSI the target has now.
+	links := make([]lossTable, len(s.Targets))
 	for i, t := range s.Targets {
 		rep.PerNode[i].NodeID = t.Node.ID
 		starts[i] = t.Node.Clock.Now()
+		links[i].init(t.RSSIdBm)
 		if plan != nil {
 			t.Node.Flash.SetWriteFaults(plan.Node(t.Node.ID))
 			defer t.Node.Flash.SetWriteFaults(nil)
@@ -157,7 +160,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		if plan != nil && (plan.Asleep(t.Node.ID, frame) || plan.Desynced(t.Node.ID, frame)) {
 			return false
 		}
-		return !s.loss.lost(s.PHY, t.RSSIdBm, payloadLen)
+		return !s.loss.lost(&s.PHY, &links[i], payloadLen)
 	}
 	// apUp rolls the AP outage window for the current frame; during an
 	// outage nothing is transmitted (no air bytes) but time still passes.
@@ -192,7 +195,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		}
 		// The ready reply shares the frame's fate drawn above except for
 		// its own uplink loss.
-		if s.loss.lost(s.PHY, t.RSSIdBm, ackPayloadLen) {
+		if s.loss.lost(&s.PHY, &links[i], ackPayloadLen) {
 			// The node is announced but the AP does not know yet; the
 			// next poll discovers it. Conservatively count it announced —
 			// the node is in the transfer and will collect broadcast data.
@@ -250,7 +253,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			if rep.PerNode[i].Err != nil || !nodes[i].announced {
 				// Unannounced nodes are not in update mode; their loss
 				// draw is still consumed so the stream stays aligned.
-				_ = s.loss.lost(s.PHY, s.Targets[i].RSSIdBm, len(chunk)+frameOverhead)
+				_ = s.loss.lost(&s.PHY, &links[i], len(chunk)+frameOverhead)
 				continue
 			}
 			if hears(i, len(chunk)+frameOverhead) {
@@ -313,7 +316,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			rep.RepairPackets++
 			rep.PerNode[i].Repairs++
 			s.advanceAll(pollTime)
-			polled := apUp() && hears(i, ackPayloadLen) && !s.loss.lost(s.PHY, t.RSSIdBm, nackPayloadLen)
+			polled := apUp() && hears(i, ackPayloadLen) && !s.loss.lost(&s.PHY, &links[i], nackPayloadLen)
 			if rep.PerNode[i].Err != nil {
 				continue
 			}

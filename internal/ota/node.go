@@ -2,6 +2,7 @@ package ota
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/flash"
@@ -172,6 +173,18 @@ func (n *Node) Complete() bool {
 	return true
 }
 
+// finishBuffers is the host storage of one Finish: the staged stream read
+// back from flash, and the one BlockSize buffer every block decompresses
+// through.
+type finishBuffers struct {
+	stream, block []byte
+}
+
+// finishPool shares finishBuffers between the Finish calls of a fleet.
+var finishPool = sync.Pool{New: func() any {
+	return &finishBuffers{block: make([]byte, BlockSize)}
+}}
+
 // Finish executes the §3.4 end-of-update sequence: turn the backbone radio
 // off, decompress block-by-block through a 30 kB SRAM buffer back into the
 // target region of flash, then reprogram the FPGA (or stage MCU firmware).
@@ -189,8 +202,14 @@ func (n *Node) Finish(design *fpga.Design) (DecompressStats, error) {
 	if _, err := n.Backbone.Transition(radio.StateSleep); err != nil {
 		return stats, err
 	}
-	stream, err := n.Flash.Read(StagingRegion, int(n.manifest.StreamSize))
-	if err != nil {
+	bufs := finishPool.Get().(*finishBuffers)
+	defer finishPool.Put(bufs)
+	size := int(n.manifest.StreamSize)
+	if cap(bufs.stream) < size {
+		bufs.stream = make([]byte, size)
+	}
+	stream := bufs.stream[:size]
+	if err := n.Flash.ReadInto(stream, StagingRegion); err != nil {
 		return stats, err
 	}
 	blocks, err := DeserializeBlocks(stream)
@@ -198,7 +217,8 @@ func (n *Node) Finish(design *fpga.Design) (DecompressStats, error) {
 		return stats, err
 	}
 
-	// One 30 kB SRAM working buffer (§3.4).
+	// One 30 kB SRAM working buffer (§3.4): every block decompresses
+	// through bufs.block.
 	if err := n.MCU.AllocSRAM(BlockSize); err != nil {
 		return stats, err
 	}
@@ -220,7 +240,7 @@ func (n *Node) Finish(design *fpga.Design) (DecompressStats, error) {
 
 	addr := target
 	for i, b := range blocks {
-		raw, err := lzo.DecompressLimit(b.Data, b.RawLen, BlockSize)
+		raw, err := lzo.DecompressInto(bufs.block, b.Data, b.RawLen, BlockSize)
 		if err != nil {
 			return stats, fmt.Errorf("ota: block %d: %w", i, err)
 		}

@@ -29,14 +29,17 @@ type Session struct {
 	// the AP for ACKs — both ends transmit at 14 dBm in §5.3).
 	RSSIdBm float64
 	// PHY is the backbone configuration. It is fixed for the session's
-	// life: the loss model memoizes packet error rates on that premise,
-	// and nothing assigns PHY after NewSession.
+	// life: the session's loss table caches packet error rates on that
+	// premise, and nothing assigns PHY after NewSession.
 	PHY lora.Params
 	// MaxRetries bounds per-packet retransmissions before the session
 	// fails (the AP gives up on unreachable nodes).
 	MaxRetries int
 
 	loss lossModel
+	// link caches the packet error rates at RSSIdBm; lost rebuilds it when
+	// RSSIdBm changes.
+	link *lossTable
 }
 
 // NewSession returns a session for one node at the given link RSSI.
@@ -70,33 +73,53 @@ const (
 )
 
 // lossModel draws frame losses from the analytic LoRa link model for
-// unicast and broadcast sessions alike. A session's PHY and noise figure
-// never change, so the packet error rate depends only on (RSSI, payload
-// length) and is computed once per pair. Every frame still takes exactly
-// one rng draw, so the memo leaves the loss stream unchanged.
+// unicast and broadcast sessions alike: one rng draw per frame, compared
+// against the frame's packet error rate on its link (a lossTable). Every
+// frame takes exactly one draw, in transmission order, so the loss stream
+// depends only on the seed and the frames sent.
 type lossModel struct {
 	rng *rand.Rand
-	per map[lossKey]float64
-}
-
-type lossKey struct {
-	rssiDBm    float64
-	payloadLen int
 }
 
 func newLossModel(seed int64) lossModel {
-	return lossModel{rng: rand.New(rand.NewSource(seed)), per: make(map[lossKey]float64)}
+	return lossModel{rng: rand.New(rand.NewSource(seed))}
 }
 
-// lost draws whether a frame of payloadLen bytes at rssiDBm is lost.
-func (l *lossModel) lost(phy lora.Params, rssiDBm float64, payloadLen int) bool {
-	k := lossKey{rssiDBm, payloadLen}
-	per, ok := l.per[k]
-	if !ok {
-		per = lora.PacketErrorRate(phy, payloadLen, rssiDBm, radio.SX1276NoiseFigureDB)
-		l.per[k] = per
+// lost draws whether a frameLen-byte frame on link t is lost, computing
+// the link's rate for that length on first use.
+func (l *lossModel) lost(phy *lora.Params, t *lossTable, frameLen int) bool {
+	per := t.rates[frameLen]
+	if per < 0 {
+		per = lora.PacketErrorRate(*phy, frameLen, t.rssiDBm, radio.SX1276NoiseFigureDB)
+		t.rates[frameLen] = per
 	}
 	return l.rng.Float64() < per
+}
+
+// lossTable holds one link's packet error rates, indexed by frame length.
+// A session's PHY and noise figure never change, so on a link of fixed
+// RSSI the rate depends only on the length. The table covers every frame
+// MarshalBinary can produce: a 255-byte payload plus the frame overhead.
+type lossTable struct {
+	rssiDBm float64
+	rates   [frameOverhead + 256]float64 // negative until computed
+}
+
+// init resets t to the link at rssiDBm with no rate computed.
+func (t *lossTable) init(rssiDBm float64) {
+	t.rssiDBm = rssiDBm
+	for i := range t.rates {
+		t.rates[i] = -1
+	}
+}
+
+// lost draws whether a frameLen-byte frame on the session's link is lost.
+func (s *Session) lost(frameLen int) bool {
+	if s.link == nil || s.link.rssiDBm != s.RSSIdBm {
+		s.link = new(lossTable)
+		s.link.init(s.RSSIdBm)
+	}
+	return s.loss.lost(&s.PHY, s.link, frameLen)
 }
 
 // airTime is the on-air duration of a backbone packet with n payload bytes.
@@ -119,7 +142,7 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 		}
 		// AP transmit.
 		clock.Advance(s.airTime(len(wire)) + apProcessing)
-		if s.loss.lost(s.PHY, s.RSSIdBm, len(wire)) {
+		if s.lost(len(wire)) {
 			// Node missed it; AP times out waiting for the reply.
 			clock.Advance(s.airTime(replyLen) + nodeProcessing)
 			retries++
@@ -136,7 +159,7 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 		// Node turnaround and reply.
 		clock.Advance(radio.RXToTXTime + nodeProcessing)
 		clock.Advance(s.airTime(replyLen))
-		if s.loss.lost(s.PHY, s.RSSIdBm, replyLen) {
+		if s.lost(replyLen) {
 			retries++
 			continue
 		}
