@@ -11,8 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"math"
 	"os"
 	"os/exec"
@@ -20,54 +19,51 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/uwsdr/tinysdr/internal/lint"
 	"github.com/uwsdr/tinysdr/internal/ota"
 )
 
 var updateSurface = flag.Bool("update-api-surface", false,
 	"rewrite testdata/api_surface.golden from the current exports")
 
-// exportedSurface parses every non-test file of the facade package and
-// returns one "kind name" line per exported top-level symbol, sorted.
+// exportedSurface type-checks the facade package and returns one "kind
+// name" line per exported top-level symbol and one "method T.M" line per
+// exported method of each exported type, promoted methods included and
+// aliases resolved to the types they name, sorted.
 func exportedSurface(t *testing.T) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	prog, err := lint.Load(".", []string{"."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, ok := pkgs["tinysdr"]
-	if !ok {
-		t.Fatalf("package tinysdr not found (got %v)", pkgs)
+	// Load lists the facade after every module package it imports.
+	facade := prog.Packages[len(prog.Packages)-1]
+	if facade.Path != "github.com/uwsdr/tinysdr" {
+		t.Fatalf("loaded %s last, not the facade", facade.Path)
 	}
+	scope := facade.Types.Scope()
 	var lines []string
-	add := func(kind, name string) {
-		if ast.IsExported(name) {
-			lines = append(lines, kind+" "+name)
+	for _, name := range scope.Names() {
+		if !ast.IsExported(name) {
+			continue
 		}
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add("func", d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						add("type", s.Name.Name)
-					case *ast.ValueSpec:
-						kind := "var"
-						if d.Tok == token.CONST {
-							kind = "const"
-						}
-						for _, n := range s.Names {
-							add(kind, n.Name)
-						}
-					}
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Const:
+			lines = append(lines, "const "+name)
+		case *types.Var:
+			lines = append(lines, "var "+name)
+		case *types.Func:
+			lines = append(lines, "func "+name)
+		case *types.TypeName:
+			lines = append(lines, "type "+name)
+			typ := types.Unalias(obj.Type())
+			if !types.IsInterface(typ) {
+				typ = types.NewPointer(typ)
+			}
+			mset := types.NewMethodSet(typ)
+			for i := 0; i < mset.Len(); i++ {
+				if m := mset.At(i).Obj(); m.Exported() {
+					lines = append(lines, "method "+name+"."+m.Name())
 				}
 			}
 		}
@@ -379,12 +375,30 @@ func TestFacadeChaosCampaign(t *testing.T) {
 }
 
 func TestFacadeDeviceRecording(t *testing.T) {
-	d := New(Config{ID: 1})
-	d.AttachSDCard(1 << 20)
-	if _, err := d.RecordSamples(1000); err != nil {
+	// RecordTrace is the one capture path: a live link run recorded
+	// through the ADC tap replays to the recorded per-packet outcomes.
+	tx, err := NewModem("lora")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SDUsed() != 4000 {
-		t.Errorf("SD used = %d", d.SDUsed())
+	rx, err := NewModem("lora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewChannelScenario(NewGainStage(rx.SensitivityDBm()+3), NewNoiseStage(rx.NoiseFloorDBm()))
+	link, err := OpenLink(tx, rx, sc, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := TraceMeta{PHY: "lora", Seed: 5, SampleRate: rx.SampleRate(), Bits: 13, Payload: []byte("capture")}
+	tr, err := RecordTrace(link, meta, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Manifest.Packets) != 4 {
+		t.Fatalf("recorded %d packets, want 4", len(tr.Manifest.Packets))
+	}
+	if err := VerifyTrace(tr, 2); err != nil {
+		t.Error(err)
 	}
 }

@@ -72,12 +72,3 @@ func (a *Advertiser) Burst() (iq.Samples, []BeaconEvent, error) {
 	}
 	return out, events, nil
 }
-
-// BurstDuration returns the total advertising-event duration.
-func (a *Advertiser) BurstDuration() (time.Duration, error) {
-	at, err := a.AirTime()
-	if err != nil {
-		return 0, err
-	}
-	return 3*at + 2*a.HopDelay, nil
-}

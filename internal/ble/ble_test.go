@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
+	"github.com/uwsdr/tinysdr/internal/iq"
 )
 
 func testBeacon() Beacon {
@@ -158,7 +159,7 @@ func TestGFSKLoopbackWithNoiseAndOffset(t *testing.T) {
 	ch := channel.NewAWGN(3, channel.NoiseFloorDBm(4e6, 9.5))
 	// Strong signal (-60 dBm), arbitrary start offset.
 	buf := ch.Noise(333)
-	buf = append(buf, ch.Apply(sig, -60)...)
+	buf = append(buf, ch.ApplyInto(make(iq.Samples, len(sig)), sig, -60)...)
 	buf = append(buf, ch.Noise(200)...)
 	got, err := demod.Receive(buf, 37)
 	if err != nil {
@@ -191,7 +192,7 @@ func TestGFSKBitErrorsAppearBelowSensitivity(t *testing.T) {
 	}
 	sig := mod.Modulate(bits)
 	ch := channel.NewAWGN(4, channel.NoiseFloorDBm(4e6, 9.5))
-	rx := ch.Apply(sig, -110)
+	rx := ch.ApplyInto(make(iq.Samples, len(sig)), sig, -110)
 	pad := gaussianSpan / 2 * 4
 	got := demod.DemodBits(rx, pad, len(bits))
 	errs := 0
@@ -245,12 +246,16 @@ func TestAdvertiserBurstFasterThanIPhone(t *testing.T) {
 	// The paper compares tinySDR's 220 µs hop gap against 350 µs on an
 	// iPhone 8; the burst with our gap must be shorter.
 	a, _ := NewAdvertiser(testBeacon(), 4)
-	fast, err := a.BurstDuration()
-	if err != nil {
-		t.Fatal(err)
+	burst := func() time.Duration {
+		_, events, err := a.Burst()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events[len(events)-1].End - events[0].Start
 	}
+	fast := burst()
 	a.HopDelay = 350 * time.Microsecond
-	slow, _ := a.BurstDuration()
+	slow := burst()
 	if fast >= slow {
 		t.Error("220 µs hops not faster than 350 µs hops")
 	}

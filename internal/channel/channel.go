@@ -36,9 +36,6 @@ func NewAWGN(seed int64, floorDBm float64) *AWGN {
 	return &AWGN{rng: rand.New(rand.NewSource(seed)), floorDBm: floorDBm}
 }
 
-// FloorDBm returns the configured noise floor.
-func (c *AWGN) FloorDBm() float64 { return c.floorDBm }
-
 // NoiseInto fills dst with receiver noise at the floor power and returns
 // dst. It performs no allocation.
 func (c *AWGN) NoiseInto(dst iq.Samples) iq.Samples {
@@ -57,9 +54,8 @@ func (c *AWGN) Noise(n int) iq.Samples {
 // ApplyInto writes sig received at the given RSSI into dst: the transmit
 // waveform is scaled so its mean power equals rssiDBm, then summed with
 // noise at the floor. len(dst) must equal len(sig); dst may alias sig only
-// if they are the same slice. It draws exactly the same RNG sequence as
-// Apply, so a sweep rewritten onto caller scratch reproduces Apply's
-// output bit for bit, without the two allocations per packet.
+// if they are the same slice. The noise is drawn into the channel's own
+// scratch, so a sweep allocates nothing per packet.
 func (c *AWGN) ApplyInto(dst, sig iq.Samples, rssiDBm float64) iq.Samples {
 	if len(dst) != len(sig) {
 		panic("channel: ApplyInto length mismatch")
@@ -75,13 +71,6 @@ func (c *AWGN) scratchNoise(n int) iq.Samples {
 		c.noise = make(iq.Samples, n)
 	}
 	return c.noise[:n]
-}
-
-// Apply returns sig received at the given RSSI with noise added: the
-// transmit waveform is scaled so its mean power equals rssiDBm, then summed
-// with noise at the floor. The input is not modified.
-func (c *AWGN) Apply(sig iq.Samples, rssiDBm float64) iq.Samples {
-	return c.ApplyInto(make(iq.Samples, len(sig)), sig, rssiDBm)
 }
 
 // ApplyMulti superimposes several transmissions, each at its own RSSI and
@@ -100,6 +89,3 @@ func (c *AWGN) ApplyMulti(n int, sigs []iq.Samples, rssis []float64, offsets []i
 	}
 	return out
 }
-
-// SNRAt returns the SNR in dB of a signal at rssiDBm over this channel.
-func (c *AWGN) SNRAt(rssiDBm float64) float64 { return rssiDBm - c.floorDBm }

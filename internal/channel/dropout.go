@@ -51,9 +51,6 @@ func NewDropout(prob, depthDB float64) *Dropout {
 // Name implements Stage.
 func (d *Dropout) Name() string { return "dropout" }
 
-// Active reports whether the last Reset drew a dropout for this trial.
-func (d *Dropout) Active() bool { return d.active }
-
 // Reset implements Stage: it draws whether this trial drops out, and where.
 func (d *Dropout) Reset(seed int64) {
 	d.src.Seed(seed)

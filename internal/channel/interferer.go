@@ -73,9 +73,6 @@ func (it *Interferer) Name() string {
 	return "interferer(" + it.kind + ")"
 }
 
-// Offset returns the start offset drawn by the last Reset.
-func (it *Interferer) Offset() int { return it.offset }
-
 // Reset implements Stage: it draws the trial's time alignment and, when a
 // caller changed the power/offset configuration since the last Reset,
 // rebuilds the scaled (and frequency-shifted) interference record.

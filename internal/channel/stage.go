@@ -112,25 +112,20 @@ func (g *Gain) ApplyInto(dst, sig iq.Samples) iq.Samples {
 // stage of almost every scenario. Unlike AWGN.ApplyInto it does not rescale
 // the signal; compose it after a Gain or Mobility stage.
 type Noise struct {
-	floorDBm float64
-	sigma    float64
-	rng      *rand.Rand
-	src      rand.Source
+	sigma float64
+	rng   *rand.Rand
+	src   rand.Source
 }
 
 // NewNoise returns a noise stage at the given integrated floor in dBm.
 func NewNoise(floorDBm float64) *Noise {
 	rng, src := seededRand()
 	return &Noise{
-		floorDBm: floorDBm,
-		sigma:    math.Sqrt(iq.DBmToMilliwatts(floorDBm) / 2),
-		rng:      rng,
-		src:      src,
+		sigma: math.Sqrt(iq.DBmToMilliwatts(floorDBm) / 2),
+		rng:   rng,
+		src:   src,
 	}
 }
-
-// FloorDBm returns the configured noise floor.
-func (n *Noise) FloorDBm() float64 { return n.floorDBm }
 
 // Name implements Stage.
 func (n *Noise) Name() string { return "noise" }
@@ -253,9 +248,6 @@ func ExponentialTaps(n, spacingSamples int, decayDB float64) []Tap {
 // Name implements Stage.
 func (f *Fading) Name() string { return "fading" }
 
-// Gains returns the tap gains drawn by the last Reset.
-func (f *Fading) Gains() []complex128 { return f.gains }
-
 // Reset implements Stage: it draws the block's tap gains.
 func (f *Fading) Reset(seed int64) {
 	f.src.Seed(seed)
@@ -332,9 +324,6 @@ func NewCFO(offsetHz, jitterHz, driftPPM, sampleRate float64) *CFO {
 
 // Name implements Stage.
 func (c *CFO) Name() string { return "cfo" }
-
-// EffectiveOffsetHz returns the carrier offset drawn by the last Reset.
-func (c *CFO) EffectiveOffsetHz() float64 { return c.offset }
 
 // Reset implements Stage.
 func (c *CFO) Reset(seed int64) {

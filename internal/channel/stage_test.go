@@ -59,7 +59,7 @@ func TestFlatFadingPreservesAveragePower(t *testing.T) {
 	const draws = 20000
 	for i := 0; i < draws; i++ {
 		f.Reset(int64(i))
-		g := f.Gains()[0]
+		g := f.gains[0]
 		acc += real(g)*real(g) + imag(g)*imag(g)
 	}
 	if mean := acc / draws; math.Abs(mean-1) > 0.03 {
@@ -68,7 +68,7 @@ func TestFlatFadingPreservesAveragePower(t *testing.T) {
 	// And a single application scales the waveform by exactly |g|.
 	f.Reset(7)
 	out := f.ApplyInto(make(iq.Samples, len(sig)), sig)
-	g := f.Gains()[0]
+	g := f.gains[0]
 	want := sig.Power() * (real(g)*real(g) + imag(g)*imag(g))
 	if got := out.Power(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("faded power = %v, want %v", got, want)
@@ -85,7 +85,7 @@ func TestRicianKFactorConcentratesGain(t *testing.T) {
 	var minMag, maxMag = math.Inf(1), math.Inf(-1)
 	for i := 0; i < 1000; i++ {
 		f.Reset(int64(i))
-		m := cmplx.Abs(f.Gains()[0])
+		m := cmplx.Abs(f.gains[0])
 		minMag = math.Min(minMag, m)
 		maxMag = math.Max(maxMag, m)
 	}
@@ -102,7 +102,7 @@ func TestFadingDelayLine(t *testing.T) {
 	sig := make(iq.Samples, 8)
 	sig[0] = 1
 	out := f.ApplyInto(make(iq.Samples, 8), sig)
-	g := f.Gains()
+	g := f.gains
 	if out[0] != g[0] || out[3] != g[1] {
 		t.Errorf("impulse response %v does not match gains %v", out, g)
 	}
@@ -147,13 +147,13 @@ func TestCFOShiftsTone(t *testing.T) {
 func TestCFOJitterDeterministicPerSeed(t *testing.T) {
 	c := NewCFO(0, 100, 0, 125e3)
 	c.Reset(5)
-	a := c.EffectiveOffsetHz()
+	a := c.offset
 	c.Reset(5)
-	if c.EffectiveOffsetHz() != a {
+	if c.offset != a {
 		t.Error("same seed must draw the same offset")
 	}
 	c.Reset(6)
-	if c.EffectiveOffsetHz() == a {
+	if c.offset == a {
 		t.Error("different seeds should draw different offsets")
 	}
 }
@@ -215,7 +215,7 @@ func TestInterfererAddsAtDrawnOffset(t *testing.T) {
 	wave := tone(64, 0.25)
 	it := NewInterferer("lora", wave, -90, 100)
 	it.Reset(9)
-	off := it.Offset()
+	off := it.offset
 	if off < 0 || off > 100 {
 		t.Fatalf("offset %d outside [0,100]", off)
 	}
@@ -291,7 +291,7 @@ func TestStageLengthMismatchPanics(t *testing.T) {
 func TestDropoutAttenuatesWindow(t *testing.T) {
 	d := NewDropout(1, 40) // always drops
 	d.Reset(3)
-	if !d.Active() {
+	if !d.active {
 		t.Fatal("prob 1 dropout inactive")
 	}
 	sig := tone(4096, 0.1)
@@ -364,7 +364,7 @@ func TestDropoutActivationTracksProbability(t *testing.T) {
 	const trials = 4000
 	for i := 0; i < trials; i++ {
 		d.Reset(int64(i))
-		if d.Active() {
+		if d.active {
 			hits++
 		}
 	}

@@ -46,7 +46,6 @@ type Device struct {
 	OTA      *ota.Node
 
 	asleep bool
-	sd     *flash.SDCard
 
 	loraParams lora.Params
 	loraMod    *lora.Modulator
@@ -88,9 +87,6 @@ func (d *Device) Sleep() {
 	d.PMU.Sleep()
 	d.asleep = true
 }
-
-// Asleep reports whether the device is in deep sleep.
-func (d *Device) Asleep() bool { return d.asleep }
 
 // SystemPowerW returns the instantaneous battery draw.
 func (d *Device) SystemPowerW() float64 { return d.PMU.Ledger().TotalPower() }
@@ -145,9 +141,6 @@ func (d *Device) ConfigureLoRa(p lora.Params) error {
 	d.loraDemod = demod
 	return nil
 }
-
-// LoRaParams returns the configured modem parameters.
-func (d *Device) LoRaParams() lora.Params { return d.loraParams }
 
 // TransmitLoRa modulates and transmits one packet at the given output
 // power, returning the on-air waveform. The clock advances by the radio
@@ -273,50 +266,6 @@ func (d *Device) TransmitBeaconBurst(txPowerDBm float64) ([]ble.BeaconEvent, err
 	}
 	d.Clock.Advance(settle)
 	return events, nil
-}
-
-// AttachSDCard mounts a microSD card of the given capacity on the FPGA's
-// SPI interface (§3.2.2).
-func (d *Device) AttachSDCard(capacityBytes int) {
-	d.sd = flash.NewSDCard(capacityBytes)
-}
-
-// RecordSamples streams a live I/Q capture to the microSD card in real
-// time, as the §3.2.2 design supports: samples pass through the FPGA FIFO
-// and out the SPI block at 104 Mbps, which keeps up with the 4 MHz stream.
-// The clock advances by the capture duration. It returns the bytes written.
-func (d *Device) RecordSamples(n int) (int, error) {
-	if d.sd == nil {
-		return 0, fmt.Errorf("core: no SD card attached")
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("core: non-positive capture length %d", n)
-	}
-	if d.Radio.State() != radio.StateRX {
-		turn, err := d.Radio.Transition(radio.StateRX)
-		if err != nil {
-			return 0, err
-		}
-		d.Clock.Advance(turn)
-	}
-	if !flash.CanSustainIQStream() {
-		return 0, fmt.Errorf("core: SPI mode cannot sustain the I/Q stream")
-	}
-	// 26 payload bits per sample, padded to 32-bit words on the card.
-	bytes := n * 4
-	if err := d.sd.Append(bytes); err != nil {
-		return 0, err
-	}
-	d.Clock.Advance(time.Duration(float64(n) / radio.SampleRate * float64(time.Second)))
-	return bytes, nil
-}
-
-// SDUsed returns the bytes recorded to the attached card (0 when absent).
-func (d *Device) SDUsed() int {
-	if d.sd == nil {
-		return 0
-	}
-	return d.sd.Used()
 }
 
 // OperationTimings reproduces Table 4 by executing each transition on the

@@ -54,10 +54,6 @@ func (g ChirpGen) Upchirp(shift int) iq.Samples { return g.symbol(shift, false, 
 // demodulator's dechirp reference.
 func (g ChirpGen) Downchirp() iq.Samples { return g.symbol(0, true, g.SymbolLen()) }
 
-// QuarterDownchirp returns the fractional 0.25-symbol tail of the LoRa
-// start-of-frame delimiter (the packet header contains 2.25 downchirps).
-func (g ChirpGen) QuarterDownchirp() iq.Samples { return g.symbol(0, true, g.SymbolLen()/4) }
-
 func (g ChirpGen) symbol(shift int, down bool, count int) iq.Samples {
 	st := NewChirpStream(g)
 	return st.Symbol(shift, down, count)
@@ -126,11 +122,6 @@ func (st *ChirpStream) SymbolInto(dst iq.Samples, shift int, down bool) iq.Sampl
 // Upchirp appends one full upchirp symbol with the given shift.
 func (st *ChirpStream) Upchirp(shift int) iq.Samples {
 	return st.Symbol(shift, false, st.g.SymbolLen())
-}
-
-// Downchirp appends one full base downchirp symbol.
-func (st *ChirpStream) Downchirp() iq.Samples {
-	return st.Symbol(0, true, st.g.SymbolLen())
 }
 
 // DechirpInto multiplies x by the conjugate of ref element-wise into dst —

@@ -18,9 +18,6 @@ func TestChirpSymbolLength(t *testing.T) {
 			if got := len(g.Downchirp()); got != want {
 				t.Errorf("SF%d OSR%d: downchirp len %d, want %d", sf, osr, got, want)
 			}
-			if got := len(g.QuarterDownchirp()); got != want/4 {
-				t.Errorf("SF%d OSR%d: quarter downchirp len %d, want %d", sf, osr, got, want/4)
-			}
 		}
 	}
 }

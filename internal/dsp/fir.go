@@ -45,13 +45,6 @@ func NewLowpass(n int, cutoff float64) *FIR {
 	return &FIR{taps: taps}
 }
 
-// Taps returns a copy of the filter taps.
-func (f *FIR) Taps() []float64 {
-	t := make([]float64, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
-
 // Len returns the number of taps.
 func (f *FIR) Len() int { return len(f.taps) }
 
@@ -126,18 +119,6 @@ func (f *FIR) FilterRealInto(dst, x []float64) []float64 {
 // alignment semantics as Filter.
 func (f *FIR) FilterReal(x []float64) []float64 {
 	return f.FilterRealInto(make([]float64, len(x)), x)
-}
-
-// Response returns the filter's power gain in dB at the given normalized
-// frequency (cycles/sample).
-func (f *FIR) Response(freq float64) float64 {
-	var re, im float64
-	for k, tap := range f.taps {
-		ang := -2 * math.Pi * freq * float64(k)
-		re += tap * math.Cos(ang)
-		im += tap * math.Sin(ang)
-	}
-	return iq.DB(re*re + im*im)
 }
 
 // NewGaussian designs the Gaussian pulse-shaping filter used by the BLE GFSK

@@ -70,12 +70,3 @@ func (n *NCO) Generate(count int) iq.Samples {
 	}
 	return out
 }
-
-// Mix multiplies x by the oscillator output in place (frequency translation)
-// and returns x.
-func (n *NCO) Mix(x iq.Samples) iq.Samples {
-	for i := range x {
-		x[i] *= n.Next()
-	}
-	return x
-}

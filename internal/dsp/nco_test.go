@@ -63,7 +63,10 @@ func TestNCOPhaseContinuityAcrossRetune(t *testing.T) {
 func TestNCOMix(t *testing.T) {
 	// Mixing a tone at f1 with an NCO at f2 moves it to f1+f2.
 	carrier := NewNCO(0.1).Generate(2048)
-	NewNCO(0.15).Mix(carrier)
+	lo := NewNCO(0.15)
+	for i := range carrier {
+		carrier[i] *= lo.Next()
+	}
 	FFT(carrier)
 	peak, _ := PeakBin(carrier)
 	want := int(math.Round(0.25 * 2048))

@@ -13,13 +13,6 @@ type Spectrum struct {
 	// PowerDBm holds the per-bin power in dBm, DC-centered: bin 0 is
 	// -SampleRate/2 and bin len-1 approaches +SampleRate/2.
 	PowerDBm []float64
-	// ENBWBins is the noise-equivalent bandwidth of the analysis window
-	// in bins (1.5 for the Hann window the Welch estimators use). The
-	// per-bin calibration makes a tone's PEAK read true power, which
-	// spreads the tone's energy over ENBWBins bins; integrals over a band
-	// must divide by it or every tone inside the band gains +10·log10(ENBW)
-	// dB. Zero (a hand-built Spectrum) is treated as 1: a plain bin sum.
-	ENBWBins float64
 }
 
 // Freq returns the center frequency in Hz of bin i (relative to the carrier).
@@ -67,55 +60,6 @@ func (s Spectrum) SFDR(guard int) float64 {
 	return peakP - worst
 }
 
-// Occupancy returns the fraction of bins at or above the threshold — the
-// per-spectrum scalar the crowd-sourced sensing reports quantize. An
-// empty spectrum is unoccupied.
-func (s Spectrum) Occupancy(thresholdDBm float64) float64 {
-	if len(s.PowerDBm) == 0 {
-		return 0
-	}
-	occ := 0
-	for _, p := range s.PowerDBm {
-		if p >= thresholdDBm {
-			occ++
-		}
-	}
-	return float64(occ) / float64(len(s.PowerDBm))
-}
-
-// BandPowerDBm integrates the power of every bin whose center frequency
-// lies in [loHz, hiHz] (relative to the carrier) and returns the total in
-// dBm, corrected for the analysis window's noise-equivalent bandwidth so a
-// tone fully inside the band reads its true power rather than gaining the
-// window's leakage spread (+1.76 dB for Hann). The frequency axis is
-// circular, like the SFDR guard: loHz > hiHz selects the band that wraps
-// through ±SampleRate/2, so a channel straddling the FFT edge integrates
-// both skirts instead of losing one to the array boundary. A band covering
-// no bin centers returns -Inf.
-func (s Spectrum) BandPowerDBm(loHz, hiHz float64) float64 {
-	var mw float64
-	hit := false
-	for i, p := range s.PowerDBm {
-		f := s.Freq(i)
-		in := f >= loHz && f <= hiHz
-		if loHz > hiHz {
-			// Wrapped band: everything above lo or below hi.
-			in = f >= loHz || f <= hiHz
-		}
-		if in {
-			mw += iq.DBmToMilliwatts(p)
-			hit = true
-		}
-	}
-	if !hit {
-		return math.Inf(-1)
-	}
-	if s.ENBWBins > 0 {
-		mw /= s.ENBWBins
-	}
-	return iq.MilliwattsToDBm(mw)
-}
-
 // WelchPlan holds the FFT plan, window and scratch for repeated Welch
 // estimates of one FFT size — the plan+scratch idiom of the demod hot
 // paths applied to the spectrum-sensing workload, where thousands of
@@ -131,7 +75,6 @@ type WelchPlan struct {
 	winSum []float64
 	seg    iq.Samples
 	acc    []float64
-	enbw   float64
 }
 
 // NewWelchPlan returns a reusable estimator for the given FFT size, which
@@ -147,15 +90,9 @@ func NewWelchPlan(fftSize int) *WelchPlan {
 		seg:    make(iq.Samples, fftSize),
 		acc:    make([]float64, fftSize),
 	}
-	var sumSq float64
 	for i, v := range w.win {
 		w.winSum[i+1] = w.winSum[i] + v
-		sumSq += v * v
 	}
-	// Noise-equivalent bandwidth of the window in bins: n·Σw²/(Σw)²
-	// (exactly 1.5 for Hann). Stamped on every Spectrum so band integrals
-	// can undo the per-bin tone calibration.
-	w.enbw = float64(fftSize) * sumSq / (w.winSum[fftSize] * w.winSum[fftSize])
 	return w
 }
 
@@ -192,7 +129,7 @@ func (w *WelchPlan) EstimateInto(dst []float64, x iq.Samples, sampleRate float64
 		segments = 1
 		coherent = w.winSum[len(x)] / float64(n)
 	}
-	spec := Spectrum{SampleRate: sampleRate, PowerDBm: dst, ENBWBins: w.enbw}
+	spec := Spectrum{SampleRate: sampleRate, PowerDBm: dst}
 	if coherent == 0 {
 		for i := range dst {
 			dst[i] = math.Inf(-1)

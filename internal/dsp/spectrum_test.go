@@ -52,9 +52,9 @@ func TestWelchShortInputCalibration(t *testing.T) {
 // TestWelchNoWindowMassReadsMinusInf pins the zero-mass calibration: a
 // capture whose populated Hann window has no mass (empty, or one sample,
 // since Hann's first tap is 0) carries no calibrated power, so every bin
-// and every band integral reads -Inf where the division by that zero mass
-// used to read NaN. A two-sample silent capture has mass and reads -Inf
-// through the ordinary path.
+// reads -Inf where the division by that zero mass used to read NaN. A
+// two-sample silent capture has mass and reads -Inf through the ordinary
+// path.
 func TestWelchNoWindowMassReadsMinusInf(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -65,9 +65,6 @@ func TestWelchNoWindowMassReadsMinusInf(t *testing.T) {
 			if !math.IsInf(p, -1) {
 				t.Fatalf("%s: bin %d reads %v, want -Inf", c.name, i, p)
 			}
-		}
-		if got := s.BandPowerDBm(-5e5, 5e5); !math.IsInf(got, -1) {
-			t.Errorf("%s: band power %v, want -Inf", c.name, got)
 		}
 	}
 }
@@ -145,62 +142,5 @@ func BenchmarkWelchPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.EstimateInto(dst, x, 4e6)
-	}
-}
-
-// TestOccupancy pins the threshold semantics: at-or-above counts, and the
-// empty spectrum is unoccupied.
-func TestOccupancy(t *testing.T) {
-	s := Spectrum{SampleRate: 1, PowerDBm: []float64{-100, -90, -80, -80}}
-	if got := s.Occupancy(-80); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Occupancy(-80) = %g, want 0.5 (threshold is inclusive)", got)
-	}
-	if got := s.Occupancy(-70); got != 0 {
-		t.Errorf("Occupancy(-70) = %g, want 0", got)
-	}
-	if got := s.Occupancy(-200); got != 1 {
-		t.Errorf("Occupancy(-200) = %g, want 1", got)
-	}
-	if got := (Spectrum{}).Occupancy(-80); got != 0 {
-		t.Errorf("empty spectrum Occupancy = %g, want 0", got)
-	}
-}
-
-// TestBandPowerDBm integrates a tone's power: the whole band recovers the
-// tone, a disjoint band reads the floor, and a band wrapping through
-// +-Fs/2 must capture an edge tone whose energy splits across the array
-// boundary (the circular-axis convention of the SFDR guard fix).
-func TestBandPowerDBm(t *testing.T) {
-	const rate = 1e6
-	x := NewNCO(0.125).Generate(4096) // +125 kHz tone
-	iq.Samples(x).ScaleToDBm(-30)
-	s := Welch(x, 256, rate)
-	if got := s.BandPowerDBm(100e3, 150e3); math.Abs(got-(-30)) > 0.5 {
-		t.Errorf("band around the tone reads %.2f dBm, want -30 +- 0.5", got)
-	}
-	if got := s.BandPowerDBm(-200e3, -100e3); got > -60 {
-		t.Errorf("empty band reads %.2f dBm, want far below the tone", got)
-	}
-
-	// Edge tone at ~+Fs/2: its skirt wraps to the bottom of the array.
-	e := NewNCO(0.499).Generate(4096)
-	iq.Samples(e).ScaleToDBm(-30)
-	se := Welch(e, 256, rate)
-	wrapped := se.BandPowerDBm(480e3, -480e3) // circular band through the edge
-	if math.Abs(wrapped-(-30)) > 0.5 {
-		t.Errorf("wrapped band reads %.2f dBm, want -30 +- 0.5", wrapped)
-	}
-	// The same span read as two linear halves must not beat the wrap
-	// (each half alone misses the other skirt).
-	hi := se.BandPowerDBm(480e3, 500e3)
-	if hi > wrapped {
-		t.Errorf("linear upper half %.2f dBm exceeds wrapped band %.2f dBm", hi, wrapped)
-	}
-}
-
-func TestBandPowerDBmNoBins(t *testing.T) {
-	s := Spectrum{SampleRate: 1e6, PowerDBm: make([]float64, 16)}
-	if got := s.BandPowerDBm(1000, 1001); !math.IsInf(got, -1) {
-		t.Errorf("band covering no bin centers = %v, want -Inf", got)
 	}
 }

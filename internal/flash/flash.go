@@ -1,6 +1,6 @@
 // Package flash models the non-volatile storage on the tinySDR board: the
 // MX25R6435F 8 MB SPI NOR flash that holds FPGA bitstreams and MCU firmware
-// for the OTA system, and the microSD card reachable from the FPGA.
+// for the OTA system.
 //
 // The NOR model enforces real flash semantics: writes can only clear bits,
 // so regions must be erased (to 0xFF) before programming, and erases happen

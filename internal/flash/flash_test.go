@@ -342,30 +342,6 @@ func TestProgramTimeScalesLinearly(t *testing.T) {
 	}
 }
 
-func TestSDCard(t *testing.T) {
-	c := NewSDCard(1024)
-	if err := c.Append(1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append(100); err == nil {
-		t.Fatal("overflow accepted")
-	}
-	if c.Used() != 1000 {
-		t.Errorf("used = %d", c.Used())
-	}
-	if err := c.Append(-1); err == nil {
-		t.Fatal("negative append accepted")
-	}
-}
-
-func TestSDCardSustainsIQStream(t *testing.T) {
-	// The §3.2.2 design argument: SPI mode must sustain the 104 Mbps
-	// real-time sample stream.
-	if !CanSustainIQStream() {
-		t.Fatal("SPI mode cannot sustain the I/Q stream; contradicts §3.2.2")
-	}
-}
-
 // stubFaults scripts the WriteFaults hook for one Program call at a time.
 type stubFaults struct {
 	err      error

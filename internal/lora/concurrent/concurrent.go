@@ -55,15 +55,6 @@ func NewDecoder(sampleRate float64, configs []lora.Params) (*Decoder, error) {
 // SampleRate returns the decoder's common input rate.
 func (d *Decoder) SampleRate() float64 { return d.sampleRate }
 
-// Configs returns the per-chain parameters (with resolved OSR).
-func (d *Decoder) Configs() []lora.Params {
-	out := make([]lora.Params, len(d.chains))
-	for i, c := range d.chains {
-		out[i] = c.params
-	}
-	return out
-}
-
 // Slope returns the chirp slope BW²/2^SF of chain i, the quantity whose
 // difference makes two configurations orthogonal (§6).
 func (d *Decoder) Slope(i int) float64 {

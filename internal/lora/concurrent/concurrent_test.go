@@ -159,8 +159,7 @@ func TestStrongInterfererDegradesWeakLink(t *testing.T) {
 func TestConfigsReportResolvedOSR(t *testing.T) {
 	p1, p2, rate := paperConfigs()
 	d, _ := NewDecoder(rate, []lora.Params{p1, p2})
-	cfgs := d.Configs()
-	if cfgs[0].OSR != 2 || cfgs[1].OSR != 1 {
-		t.Errorf("OSRs = %d, %d; want 2, 1", cfgs[0].OSR, cfgs[1].OSR)
+	if osr0, osr1 := d.chains[0].params.OSR, d.chains[1].params.OSR; osr0 != 2 || osr1 != 1 {
+		t.Errorf("OSRs = %d, %d; want 2, 1", osr0, osr1)
 	}
 }

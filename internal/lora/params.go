@@ -112,22 +112,6 @@ func (p Params) NumChips() int { return 1 << p.SF }
 // SampleRate returns the waveform sample rate in Hz.
 func (p Params) SampleRate() float64 { return p.BW * float64(p.OSR) }
 
-// SymbolDuration returns the chirp symbol time 2^SF/BW.
-func (p Params) SymbolDuration() time.Duration {
-	return time.Duration(float64(p.NumChips()) / p.BW * float64(time.Second))
-}
-
-// RawBitRate returns the PHY rate before coding: SF x BW / 2^SF, the
-// BW/2^SF x SF expression of §4.1.
-func (p Params) RawBitRate() float64 {
-	return float64(p.SF) * p.BW / float64(p.NumChips())
-}
-
-// BitRate returns the effective payload bit rate including the coding rate.
-func (p Params) BitRate() float64 {
-	return p.RawBitRate() * 4 / float64(4+int(p.CR))
-}
-
 // payloadSymbols returns the number of payload-section symbols for a payload
 // of n bytes, per the Semtech air-time formula. The first block (8 symbols)
 // is always present.

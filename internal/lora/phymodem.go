@@ -44,9 +44,6 @@ func NewModem(p Params, profile channel.RadioProfile) (*Modem, error) {
 // Name implements phy.Modem.
 func (m *Modem) Name() string { return "lora" }
 
-// Params returns the modem's PHY configuration.
-func (m *Modem) Params() Params { return m.mod.Params() }
-
 // SampleRate implements phy.Modem.
 func (m *Modem) SampleRate() float64 { return m.mod.Params().SampleRate() }
 

@@ -68,10 +68,8 @@ const DecompressCyclesPerByte = 35
 
 // MCU is one MSP432 instance.
 type MCU struct {
-	sink      power.Sink
-	state     State
-	sramUsed  int
-	flashUsed int
+	sink     power.Sink
+	sramUsed int
 }
 
 // New returns an MCU in the active state reporting power to sink.
@@ -83,7 +81,6 @@ func New(sink power.Sink) *MCU {
 
 // SetState transitions the MCU and updates its power draw.
 func (m *MCU) SetState(s State) {
-	m.state = s
 	switch s {
 	case StateActive:
 		m.sink.SetPower("mcu", activePowerW)
@@ -95,9 +92,6 @@ func (m *MCU) SetState(s State) {
 		panic(fmt.Sprintf("mcu: unknown state %d", int(s)))
 	}
 }
-
-// State returns the current operating state.
-func (m *MCU) State() State { return m.state }
 
 // AllocSRAM reserves n bytes of working memory, enforcing the 64 KB budget
 // that shapes the OTA block size (§3.4: 30 kB blocks "that will fit in the
@@ -121,21 +115,14 @@ func (m *MCU) FreeSRAM(n int) {
 	m.sramUsed -= n
 }
 
-// SRAMUsed returns the bytes currently allocated.
-func (m *MCU) SRAMUsed() int { return m.sramUsed }
-
-// LoadProgram records a firmware image of n bytes into MCU flash, enforcing
+// LoadProgram loads a firmware image of n bytes into MCU flash, enforcing
 // the 256 KB budget the OTA system assumes.
 func (m *MCU) LoadProgram(n int) error {
 	if n < 0 || n > FlashSize {
 		return fmt.Errorf("mcu: program of %d bytes exceeds %d-byte flash", n, FlashSize)
 	}
-	m.flashUsed = n
 	return nil
 }
-
-// ProgramSize returns the loaded firmware size.
-func (m *MCU) ProgramSize() int { return m.flashUsed }
 
 // ExecTime converts a cycle count to run time at the 48 MHz core clock.
 func ExecTime(cycles int64) time.Duration {

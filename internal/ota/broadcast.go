@@ -128,22 +128,6 @@ func (r *BroadcastReport) Failed() int {
 	return n
 }
 
-// FailedByClass breaks the failure count down by taxonomy class, so
-// "never reachable" no longer collapses into the same number as "failed
-// after repairs".
-func (r *BroadcastReport) FailedByClass() map[FailureClass]int {
-	out := map[FailureClass]int{}
-	for _, p := range r.PerNode {
-		if p.Err != nil {
-			out[p.Class]++
-		}
-	}
-	return out
-}
-
-// Completed returns the number of successfully programmed nodes.
-func (r *BroadcastReport) Completed() int { return len(r.PerNode) - r.Failed() }
-
 // advanceAll moves every node's clock forward by d, keeping the fleet in
 // lockstep.
 func (s *BroadcastSession) advanceAll(d time.Duration) {

@@ -34,7 +34,7 @@ func TestHealingNoFaultsDeliversExactImages(t *testing.T) {
 	}
 	targets, rep := run(fault.NewPlan(fault.Spec{}, 9))
 	if rep.Failed() != 0 {
-		t.Fatalf("failed = %d: %+v", rep.Failed(), rep.FailedByClass())
+		t.Fatalf("failed = %d: %+v", rep.Failed(), rep.PerNode)
 	}
 	for _, tg := range targets {
 		if err := tg.Node.VerifyImage(img, TargetMCU); err != nil {
@@ -74,7 +74,7 @@ func TestHealingSurvivesFlashFaults(t *testing.T) {
 		t.Error("no flash faults injected at prob 0.05")
 	}
 	if rep.Failed() != 0 {
-		t.Fatalf("failed = %d despite repairable faults: %+v", rep.Failed(), rep.FailedByClass())
+		t.Fatalf("failed = %d despite repairable faults: %+v", rep.Failed(), rep.PerNode)
 	}
 	for _, tg := range targets {
 		if err := tg.Node.VerifyImage(img, TargetMCU); err != nil {
@@ -103,7 +103,7 @@ func TestHealingRecoversCrashedNodes(t *testing.T) {
 		t.Skip("no crash drawn for this seed; adjust the spec")
 	}
 	if rep.Failed() != 0 {
-		t.Fatalf("failed = %d, want full recovery: %+v", rep.Failed(), rep.FailedByClass())
+		t.Fatalf("failed = %d, want full recovery: %+v", rep.Failed(), rep.PerNode)
 	}
 	for _, tg := range targets {
 		if err := tg.Node.VerifyImage(img, TargetMCU); err != nil {
@@ -136,16 +136,13 @@ func TestHealingBudgetExhaustionClassified(t *testing.T) {
 			t.Errorf("node %d failed: %v", rep.PerNode[i].NodeID, rep.PerNode[i].Err)
 		}
 	}
-	if got := rep.Completed(); got != 2 {
+	if got := len(rep.PerNode) - rep.Failed(); got != 2 {
 		t.Errorf("completed = %d", got)
 	}
-	byClass := rep.FailedByClass()
-	total := 0
-	for _, n := range byClass {
-		total += n
-	}
-	if total != rep.Failed() {
-		t.Errorf("taxonomy %v does not sum to failed %d", byClass, rep.Failed())
+	for _, p := range rep.PerNode {
+		if (p.Err != nil) != (p.Class != FailNone) {
+			t.Errorf("node %d: error %v with class %q", p.NodeID, p.Err, p.Class)
+		}
 	}
 }
 

@@ -155,8 +155,8 @@ func TestOpenReplayValidatesAndSurfacesDeviceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if link.Source() != src {
-		t.Error("Source() does not return the bound source")
+	if link.src != src {
+		t.Error("the replay link does not hold the bound source")
 	}
 	if st, err := link.Run(goldenPayload, 3); err != nil || st.Failures != 0 {
 		t.Fatalf("clean replay: %+v, %v", st, err)
@@ -185,7 +185,7 @@ func TestOpenReplayValidatesAndSurfacesDeviceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Source() != nil {
+	if live.src != nil {
 		t.Error("a live link reports a replay source")
 	}
 }

@@ -105,9 +105,6 @@ func (l *Link) Tap(s Sink) error {
 	return nil
 }
 
-// Source returns the bound replay source, or nil for a live link.
-func (l *Link) Source() Source { return l.src }
-
 // Rebind swaps the channel scenario and seed while keeping the modems,
 // scratch buffers and cached TX waveform: a sweep rebinds its worker's
 // Link per grid point instead of reopening, so the victim packet is
@@ -121,15 +118,6 @@ func (l *Link) Rebind(sc *channel.Scenario, seed int64) {
 	l.seed = seed
 	l.sent = 0
 }
-
-// TX returns the transmit-side modem.
-func (l *Link) TX() Modem { return l.tx }
-
-// RX returns the receive-side modem.
-func (l *Link) RX() Modem { return l.rx }
-
-// Scenario returns the composed channel between the modems.
-func (l *Link) Scenario() *channel.Scenario { return l.scenario }
 
 // Send pushes one packet through the pipeline and returns the payload the
 // RX modem recovered (valid until the next call). Each call advances the

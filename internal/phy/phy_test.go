@@ -294,7 +294,7 @@ func TestOpenRejectsMismatchedRates(t *testing.T) {
 	if _, err := Open(nil, loraM, nil, 1); err == nil {
 		t.Error("nil TX accepted")
 	}
-	if link, err := Open(loraM, loraM, nil, 1); err != nil || link.Scenario() == nil {
+	if link, err := Open(loraM, loraM, nil, 1); err != nil || link.scenario == nil {
 		t.Errorf("nil scenario not defaulted to identity: %v", err)
 	}
 }
@@ -312,8 +312,8 @@ func TestLinkAccessorsAndRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if link.TX() != tx || link.RX() != rx {
-		t.Error("TX/RX accessors do not return the bound modems")
+	if link.tx != tx || link.rx != rx {
+		t.Error("the link does not hold the bound modems")
 	}
 	if _, err := link.Run(goldenPayload, 0); err == nil {
 		t.Error("Run with zero packets accepted")
@@ -335,7 +335,7 @@ func TestLinkAccessorsAndRunValidation(t *testing.T) {
 	if _, err := blink.Run(make([]byte, 40), 4); err == nil {
 		t.Error("oversize BLE payload reported as channel loss, want modulation error")
 	}
-	if d := link.TX().Airtime(0); d <= 0 {
+	if d := link.tx.Airtime(0); d <= 0 {
 		t.Errorf("zero-payload airtime %v", d)
 	}
 }

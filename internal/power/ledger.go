@@ -92,16 +92,6 @@ func (l *Ledger) TotalPower() float64 {
 	return sum
 }
 
-// EnergyOf returns the joules consumed so far by one component.
-func (l *Ledger) EnergyOf(component string) float64 {
-	it, ok := l.items[component]
-	if !ok {
-		return 0
-	}
-	l.sync(it)
-	return it.energy
-}
-
 // Energy returns the total joules consumed by all components.
 func (l *Ledger) Energy() float64 {
 	var sum float64

@@ -69,28 +69,48 @@ func Domains() []DomainInfo {
 	}
 }
 
-// PMU is the power management unit: it gates the seven domains, tracks the
-// programmable V5 rail, and charges regulator overhead (quiescent or
-// shutdown current plus conversion loss) to the energy ledger.
+// PMU is the power management unit: it gates the seven domains and charges
+// regulator overhead (quiescent or shutdown current plus conversion loss)
+// to the energy ledger. The board runs in one of two domain states: V1
+// alone (power-up and deep sleep) or every domain on.
 //
 // PMU implements Sink; component models report their draw through it so the
 // conversion overhead stays consistent with the instantaneous load.
 type PMU struct {
 	ledger *Ledger
-	on     [numDomains]bool
-	v5     float64
-	loadW  map[string]float64 // component draws, excluding overhead items
+	awake  bool        // every domain on; otherwise V1 alone
+	loads  []loadEntry // component draws in first-report order, excluding overhead items
+}
+
+// loadEntry is one component's last reported draw.
+type loadEntry struct {
+	component string
+	watts     float64
+}
+
+// quiescentW is the regulators' draw from the battery with no load: index
+// 0 with V1 alone on, index 1 with every domain on. Each sums the Table 3
+// rows in domain order.
+var quiescentW = [2]float64{quiescentDraw(false), quiescentDraw(true)}
+
+// quiescentDraw sums the regulator quiescent or shutdown power over the
+// Table 3 domains, V1 always on and the rest on only when awake.
+func quiescentDraw(awake bool) float64 {
+	var w float64
+	for _, info := range Domains() {
+		if info.Domain == V1 || awake {
+			w += info.QuiescentA * BatteryVoltage
+		} else {
+			w += info.ShutdownA * BatteryVoltage
+		}
+	}
+	return w
 }
 
 // NewPMU returns a PMU with only the always-on MCU domain (V1) enabled —
 // the state the board powers up in — and board leakage charged.
 func NewPMU(clock *sim.Clock) *PMU {
-	p := &PMU{
-		ledger: NewLedger(clock),
-		v5:     1.8,
-		loadW:  map[string]float64{},
-	}
-	p.on[V1] = true
+	p := &PMU{ledger: NewLedger(clock)}
 	p.ledger.SetPower("board-leakage", boardLeakageW)
 	p.refresh()
 	return p
@@ -104,73 +124,42 @@ func (p *PMU) SetPower(component string, watts float64) {
 	if watts < 0 {
 		panic(fmt.Sprintf("power: negative draw %v W for %s", watts, component))
 	}
-	p.loadW[component] = watts
+	i := 0
+	for i < len(p.loads) && p.loads[i].component != component {
+		i++
+	}
+	if i == len(p.loads) {
+		p.loads = append(p.loads, loadEntry{component: component})
+	}
+	p.loads[i].watts = watts
 	p.ledger.SetPower(component, watts)
 	p.refresh()
 }
 
-// SetDomain switches one power domain on or off. V1 cannot be switched off:
-// the MCU must stay powered to perform power management at all.
-func (p *PMU) SetDomain(d Domain, on bool) error {
-	if d < V1 || d >= numDomains {
-		return fmt.Errorf("power: unknown domain %v", d)
-	}
-	if d == V1 && !on {
-		return fmt.Errorf("power: V1 (MCU) domain cannot be shut down")
-	}
-	p.on[d] = on
-	p.refresh()
-	return nil
-}
-
-// DomainOn reports whether a domain is currently enabled.
-func (p *PMU) DomainOn(d Domain) bool {
-	return d >= V1 && d < numDomains && p.on[d]
-}
-
-// SetV5 programs the shared radio rail; the SC195 supports 1.8-3.6 V.
-func (p *PMU) SetV5(voltage float64) error {
-	if voltage < 1.8 || voltage > 3.6 {
-		return fmt.Errorf("power: V5 voltage %.2f V outside SC195 range 1.8-3.6 V", voltage)
-	}
-	p.v5 = voltage
-	return nil
-}
-
-// V5 returns the programmed radio-rail voltage.
-func (p *PMU) V5() float64 { return p.v5 }
-
 // Sleep gates every domain except V1, the deep-sleep state of §5.1.
 // Component models must separately drop to their sleep draw.
 func (p *PMU) Sleep() {
-	for d := V2; d < numDomains; d++ {
-		p.on[d] = false
-	}
+	p.awake = false
 	p.refresh()
 }
 
 // WakeAll enables every domain.
 func (p *PMU) WakeAll() {
-	for d := V1; d < numDomains; d++ {
-		p.on[d] = true
-	}
+	p.awake = true
 	p.refresh()
 }
 
 // refresh recomputes the regulator-overhead ledger entry from the domain
-// states and the current component load.
+// state and the current component load. The load is summed in a fixed
+// order: float addition is not associative.
 func (p *PMU) refresh() {
-	var overhead float64
-	for _, info := range Domains() {
-		if p.on[info.Domain] {
-			overhead += info.QuiescentA * BatteryVoltage
-		} else {
-			overhead += info.ShutdownA * BatteryVoltage
-		}
+	overhead := quiescentW[0]
+	if p.awake {
+		overhead = quiescentW[1]
 	}
 	var load float64
-	for _, w := range p.loadW {
-		load += w
+	for _, l := range p.loads {
+		load += l.watts
 	}
 	overhead += load * converterLoss
 	p.ledger.SetPower("regulators", overhead)

@@ -13,12 +13,12 @@ func TestLedgerIntegratesEnergy(t *testing.T) {
 	l := NewLedger(clock)
 	l.SetPower("radio", 0.1) // 100 mW
 	clock.Advance(10 * time.Second)
-	if got := l.EnergyOf("radio"); math.Abs(got-1.0) > 1e-9 {
+	if got := l.Energy(); math.Abs(got-1.0) > 1e-9 {
 		t.Errorf("energy = %v J, want 1 J", got)
 	}
 	l.SetPower("radio", 0.2)
 	clock.Advance(5 * time.Second)
-	if got := l.EnergyOf("radio"); math.Abs(got-2.0) > 1e-9 {
+	if got := l.Energy(); math.Abs(got-2.0) > 1e-9 {
 		t.Errorf("energy = %v J, want 2 J", got)
 	}
 }
@@ -104,57 +104,61 @@ func TestLedgerReportOrdering(t *testing.T) {
 }
 
 func TestPMUDomainGating(t *testing.T) {
-	p := NewPMU(sim.NewClock())
-	if !p.DomainOn(V1) {
-		t.Fatal("V1 must be on at power-up")
-	}
-	if p.DomainOn(V2) {
-		t.Fatal("V2 must be off at power-up")
-	}
-	if err := p.SetDomain(V2, true); err != nil {
-		t.Fatal(err)
-	}
-	if !p.DomainOn(V2) {
-		t.Fatal("V2 should be on")
-	}
-	if err := p.SetDomain(V1, false); err == nil {
-		t.Fatal("V1 shutdown must be rejected")
-	}
-	if err := p.SetDomain(Domain(99), true); err == nil {
-		t.Fatal("unknown domain must be rejected")
-	}
-}
-
-func TestPMUV5Range(t *testing.T) {
-	p := NewPMU(sim.NewClock())
-	if p.V5() != 1.8 {
-		t.Errorf("V5 initial = %v, want 1.8 (minimum-power default)", p.V5())
-	}
-	if err := p.SetV5(3.3); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{1.7, 3.7, 0} {
-		if err := p.SetV5(v); err == nil {
-			t.Errorf("SetV5(%v) accepted, want error", v)
+	// The board powers up and sleeps with V1 alone on, and WakeAll turns
+	// every domain on; the regulator entry carries the Table 3 quiescent
+	// draw of the domains that are on and the shutdown draw of the rest.
+	var v1Only, all float64
+	for _, d := range Domains() {
+		all += d.QuiescentA * BatteryVoltage
+		if d.Domain == V1 {
+			v1Only += d.QuiescentA * BatteryVoltage
+		} else {
+			v1Only += d.ShutdownA * BatteryVoltage
 		}
+	}
+	p := NewPMU(sim.NewClock())
+	if got := p.Ledger().Power("regulators"); got != v1Only {
+		t.Fatalf("power-up regulator draw = %v W, want V1 alone %v W", got, v1Only)
+	}
+	p.WakeAll()
+	if got := p.Ledger().Power("regulators"); got != all {
+		t.Fatalf("awake regulator draw = %v W, want every domain %v W", got, all)
+	}
+	p.Sleep()
+	if got := p.Ledger().Power("regulators"); got != v1Only {
+		t.Fatalf("sleep regulator draw = %v W, want V1 alone %v W", got, v1Only)
 	}
 }
 
 func TestPMUSleepWake(t *testing.T) {
 	p := NewPMU(sim.NewClock())
+	if p.awake {
+		t.Fatal("PMU must power up with V1 alone")
+	}
 	p.WakeAll()
-	for d := V1; d < numDomains; d++ {
-		if !p.DomainOn(d) {
-			t.Fatalf("domain %v off after WakeAll", d)
-		}
+	if !p.awake {
+		t.Fatal("domains off after WakeAll")
 	}
 	p.Sleep()
-	if !p.DomainOn(V1) {
-		t.Fatal("V1 must survive Sleep")
+	if p.awake {
+		t.Fatal("domains on after Sleep")
 	}
-	for d := V2; d < numDomains; d++ {
-		if p.DomainOn(d) {
-			t.Fatalf("domain %v on after Sleep", d)
+}
+
+func TestPMURegulatorPowerIsBitReproducible(t *testing.T) {
+	// The conversion overhead sums every component's draw. Float addition
+	// is not associative, so a sum in map-iteration order would give one
+	// load state more than one regulator power.
+	p := NewPMU(sim.NewClock())
+	p.WakeAll()
+	for i, w := range []float64{0.1, 0.2, 0.3, 0.007, 0.0301, 1.3e-6, 0.223} {
+		p.SetPower(string(rune('a'+i)), w)
+	}
+	want := p.Ledger().Power("regulators")
+	for i := 0; i < 2000; i++ {
+		p.refresh()
+		if got := p.Ledger().Power("regulators"); got != want {
+			t.Fatalf("refresh %d: regulator power %v W, want %v W", i, got, want)
 		}
 	}
 }

@@ -143,15 +143,6 @@ func NewAT86RF215(sink power.Sink) *AT86RF215 {
 	return r
 }
 
-// State returns the current radio state.
-func (r *AT86RF215) State() RadioState { return r.state }
-
-// Frequency returns the tuned carrier frequency in Hz.
-func (r *AT86RF215) Frequency() float64 { return r.freqHz }
-
-// TXPower returns the programmed output power in dBm.
-func (r *AT86RF215) TXPower() float64 { return r.txDBm }
-
 func (r *AT86RF215) setState(s RadioState) {
 	r.state = s
 	switch s {

@@ -74,8 +74,8 @@ func TestFrequencySwitch(t *testing.T) {
 	if d != FreqSwitchTime {
 		t.Errorf("freq switch = %v, want 220 µs", d)
 	}
-	if r.Frequency() != 2402e6 {
-		t.Errorf("frequency = %v", r.Frequency())
+	if r.freqHz != 2402e6 {
+		t.Errorf("frequency = %v", r.freqHz)
 	}
 	if _, err := r.SetFrequency(1.8e9); err == nil {
 		t.Error("out-of-band retune accepted")

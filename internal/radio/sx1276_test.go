@@ -29,7 +29,7 @@ func TestSX1276Sensitivity(t *testing.T) {
 func TestSX1276StateMachine(t *testing.T) {
 	p := power.NewPMU(sim.NewClock())
 	r := NewSX1276(p)
-	if r.State() != StateSleep {
+	if r.state != StateSleep {
 		t.Fatal("must boot in sleep")
 	}
 	d, err := r.Transition(StateRX)
@@ -38,12 +38,6 @@ func TestSX1276StateMachine(t *testing.T) {
 	}
 	if d <= 0 {
 		t.Error("wake must take time")
-	}
-	if err := r.SetTXPower(25); err == nil {
-		t.Error("over-limit TX power accepted")
-	}
-	if err := r.SetTXPower(14); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := r.Transition(RadioState(9)); err == nil {
 		t.Error("bad state accepted")

@@ -40,11 +40,9 @@ const (
 // report that covered it. The moments are exact integers over the
 // quarter-dB code domain — the streaming-stats design choice that makes
 // aggregation order-free: unlike floating-point Welford updates, integer
-// sums are commutative AND associative, so any ingest order, worker
-// count, or merge tree produces bit-identical cells. Mean and variance
-// are derived on demand, which is the other half of the Welford bargain
-// (no catastrophic cancellation: sums of ≤2^15-magnitude codes over ≤2^32
-// reports stay exact in 64 bits).
+// sums are commutative AND associative, so any ingest order or worker
+// count produces bit-identical cells (sums of ≤2^15-magnitude codes over
+// ≤2^32 reports stay exact in 64 bits).
 type Cell struct {
 	// Count is how many reports covered the cell.
 	Count uint32
@@ -74,23 +72,6 @@ func (c *Cell) add(code, threshQ int16) {
 	c.SumSqQ += uint64(int64(code) * int64(code))
 }
 
-// merge folds another cell's accumulators into c.
-func (c *Cell) merge(o Cell) {
-	if o.Count == 0 {
-		return
-	}
-	if c.Count == 0 || o.MinQ < c.MinQ {
-		c.MinQ = o.MinQ
-	}
-	if c.Count == 0 || o.MaxQ > c.MaxQ {
-		c.MaxQ = o.MaxQ
-	}
-	c.Count += o.Count
-	c.Occupied += o.Occupied
-	c.SumQ += o.SumQ
-	c.SumSqQ += o.SumSqQ
-}
-
 // valid reports whether the cell may appear on the wire: an uncovered
 // cell is all-zero, no more reports are occupied than covered it, and a
 // covered cell's extremes are ordered. Marshal and unmarshal share it, so
@@ -110,28 +91,6 @@ func (c Cell) Occupancy() float64 {
 	return float64(c.Occupied) / float64(c.Count)
 }
 
-// MeanDBm is the mean reported power; an uncovered cell reads -Inf.
-func (c Cell) MeanDBm() float64 {
-	if c.Count == 0 {
-		return math.Inf(-1)
-	}
-	return float64(c.SumQ) / float64(c.Count) * CodeUnitDB
-}
-
-// StdDB is the population standard deviation of reported power in dB.
-func (c Cell) StdDB() float64 {
-	if c.Count == 0 {
-		return 0
-	}
-	n := float64(c.Count)
-	mean := float64(c.SumQ) / n
-	v := float64(c.SumSqQ)/n - mean*mean
-	if v < 0 { // guard the float rounding of the derived form
-		v = 0
-	}
-	return math.Sqrt(v) * CodeUnitDB
-}
-
 // Map is a time×frequency occupancy grid: Ticks rows of Bins cells, row
 // tick t holding the fleet's aggregated view of the band during tick t.
 type Map struct {
@@ -141,7 +100,7 @@ type Map struct {
 	SampleRate float64
 	// ThresholdQ is the occupancy threshold as a quarter-dB code.
 	ThresholdQ int16
-	// Reports counts every report absorbed or merged in.
+	// Reports counts every report absorbed.
 	Reports uint64
 	// Cells is the row-major grid: Cells[t*Bins+b].
 	Cells []Cell
@@ -195,23 +154,6 @@ func (m *Map) Absorb(r *Report) error {
 		row[i].add(code, m.ThresholdQ)
 	}
 	m.Reports++
-	return nil
-}
-
-// Merge folds another map with identical geometry into m — the shard
-// combiner. Because cells are exact integer moments, merging is
-// commutative and associative: any merge tree yields the same bits.
-func (m *Map) Merge(o *Map) error {
-	if o.Ticks != m.Ticks || o.Bins != m.Bins ||
-		o.SampleRate != m.SampleRate || o.ThresholdQ != m.ThresholdQ {
-		return fmt.Errorf("sense: merging mismatched maps (%d×%d@%g/%d vs %d×%d@%g/%d)",
-			o.Ticks, o.Bins, o.SampleRate, o.ThresholdQ,
-			m.Ticks, m.Bins, m.SampleRate, m.ThresholdQ)
-	}
-	for i := range m.Cells {
-		m.Cells[i].merge(o.Cells[i])
-	}
-	m.Reports += o.Reports
 	return nil
 }
 

@@ -56,30 +56,22 @@ func TestMapAbsorbAndStats(t *testing.T) {
 	if got := m.Cell(2, 4).Occupancy(); got != 1 {
 		t.Fatalf("occupancy %g at the threshold code", got)
 	}
-	if got := c.MeanDBm(); got != -86 {
-		t.Fatalf("mean %g, want -86", got)
+	if c.SumQ != -688 || c.SumSqQ != 2*344*344 {
+		t.Fatalf("moments %d, %d of two -344 codes", c.SumQ, c.SumSqQ)
 	}
-	if got := c.StdDB(); got != 0 {
-		t.Fatalf("std %g of identical codes", got)
-	}
-	if got := m.Cell(0, 0).MeanDBm(); !math.IsInf(got, -1) {
-		t.Fatalf("uncovered cell mean %g", got)
-	}
-	if got := m.Cell(0, 0).StdDB(); got != 0 {
-		t.Fatalf("uncovered cell std %g", got)
+	if got := *m.Cell(0, 0); got != (Cell{}) {
+		t.Fatalf("uncovered cell %+v", got)
 	}
 
-	// Spread codes: std of {-344, -336} is 4 codes = 1 dB around -85.
+	// Spread codes: the moments stay exact integers.
 	r2 := reportFor(2, 8, -336)
 	if err := m.Absorb(r2); err != nil {
 		t.Fatal(err)
 	}
 	c = m.Cell(2, 0)
-	if mean := c.MeanDBm(); math.Abs(mean-(-85.33333333333333)) > 1e-12 {
-		t.Fatalf("mean %g", mean)
-	}
-	if sd := c.StdDB(); math.Abs(sd-math.Sqrt(128.0/9)*0.25) > 1e-12 {
-		t.Fatalf("std %g", sd)
+	if c.Count != 3 || c.MinQ != -344 || c.MaxQ != -336 ||
+		c.SumQ != -1024 || c.SumSqQ != 2*344*344+336*336 {
+		t.Fatalf("cell 0 after a spread code: %+v", *c)
 	}
 }
 
@@ -110,10 +102,9 @@ func TestMapCellPanicsOutOfRange(t *testing.T) {
 	testMap(t, 2, 2).Cell(2, 0)
 }
 
-// TestMapMergeEquivalence pins the order-free property: absorbing a
-// report set directly, sharding it across two maps merged either way, or
-// absorbing in reverse all produce identical bytes.
-func TestMapMergeEquivalence(t *testing.T) {
+// TestMapAbsorbOrderEquivalence pins the order-free property: absorbing
+// a report set forwards or backwards yields byte-identical maps.
+func TestMapAbsorbOrderEquivalence(t *testing.T) {
 	reports := []*Report{
 		reportFor(0, 8, -400), reportFor(1, 8, -300), reportFor(0, 8, -350),
 		reportFor(3, 8, -500), reportFor(1, 8, -320), reportFor(2, 8, 100),
@@ -137,37 +128,6 @@ func TestMapMergeEquivalence(t *testing.T) {
 	}
 	if got, _ := reversed.MarshalBinary(); !bytes.Equal(got, want) {
 		t.Fatal("reverse-order absorb differs")
-	}
-
-	a, b := testMap(t, 4, 8), testMap(t, 4, 8)
-	for i, r := range reports {
-		var err error
-		if i%2 == 0 {
-			err = a.Absorb(r)
-		} else {
-			err = b.Absorb(r)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := a.MarshalBinary(); !bytes.Equal(got, want) {
-		t.Fatal("sharded merge differs")
-	}
-}
-
-func TestMapMergeRejectsMismatch(t *testing.T) {
-	m := testMap(t, 4, 8)
-	o := testMap(t, 4, 4)
-	if err := m.Merge(o); err == nil {
-		t.Error("bin mismatch merged")
-	}
-	o2, _ := NewMap(4, 8, 1e6, -60)
-	if err := m.Merge(o2); err == nil {
-		t.Error("threshold mismatch merged")
 	}
 }
 

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -151,6 +152,10 @@ type Spec struct {
 	Mobile bool
 }
 
+// maxFadingTaps bounds a fading term's tap count, so a spec cannot ask
+// the delay line for an unbounded allocation.
+const maxFadingTaps = 64
+
 // Parse parses the compact comma-separated scenario grammar:
 //
 //	fading=rayleigh[:taps] | fading=rician:KdB[:taps]
@@ -159,10 +164,13 @@ type Spec struct {
 //	dropout=PROB[:DEPTHDB]
 //	speed=MPS  mobile
 //
-// e.g. "fading=rician:10,cfo=200,drift=20,interferer=lora:-110".
+// e.g. "fading=rician:10,cfo=200,drift=20,interferer=lora:-110". Every
+// number must be finite, a tap count an integer in [1, 64], and a
+// repeated term replaces the earlier one. The empty spec and "clean",
+// which is how String renders it, select no impairment.
 func Parse(s string) (*Spec, error) {
 	spec := &Spec{FadingTaps: 1, FadingSpacing: 1, FadingDecayDB: 6}
-	if strings.TrimSpace(s) == "" {
+	if s = strings.TrimSpace(s); s == "" || s == "clean" {
 		return spec, nil
 	}
 	for _, part := range strings.Split(s, ",") {
@@ -176,7 +184,22 @@ func Parse(s string) (*Spec, error) {
 			if i >= len(args) || args[i] == "" {
 				return 0, fmt.Errorf("sim: scenario term %q missing argument %d", part, i+1)
 			}
-			return strconv.ParseFloat(args[i], 64)
+			v, err := strconv.ParseFloat(args[i], 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("sim: scenario term %q argument %d is not finite", part, i+1)
+			}
+			return v, err
+		}
+		taps := func(i int) error {
+			v, err := num(i)
+			if err != nil {
+				return err
+			}
+			if v != math.Trunc(v) || v < 1 || v > maxFadingTaps {
+				return fmt.Errorf("sim: fading tap count %g is not an integer in [1, %d]", v, maxFadingTaps)
+			}
+			spec.FadingTaps = int(v)
+			return nil
 		}
 		// Trailing arguments are rejected, not dropped: a user guessing
 		// at the grammar must get an error, never a silently different
@@ -190,24 +213,18 @@ func Parse(s string) (*Spec, error) {
 		var err error
 		switch key {
 		case "fading":
-			spec.FadingKind = args[0]
+			spec.FadingKind, spec.FadingKdB, spec.FadingTaps = args[0], 0, 1
 			switch args[0] {
 			case "rayleigh":
 				if err = atMost(2); err == nil && len(args) > 1 {
-					var taps float64
-					if taps, err = num(1); err == nil {
-						spec.FadingTaps = int(taps)
-					}
+					err = taps(1)
 				}
 			case "rician":
 				if err = atMost(3); err != nil {
 					break
 				}
 				if spec.FadingKdB, err = num(1); err == nil && len(args) > 2 {
-					var taps float64
-					if taps, err = num(2); err == nil {
-						spec.FadingTaps = int(taps)
-					}
+					err = taps(2)
 				}
 			default:
 				err = fmt.Errorf("sim: unknown fading kind %q", args[0])
@@ -225,7 +242,7 @@ func Parse(s string) (*Spec, error) {
 				spec.DriftPPM, err = num(0)
 			}
 		case "interferer":
-			spec.Interferer = args[0]
+			spec.Interferer, spec.InterfererFreqHz = args[0], 0
 			if !phy.Registered(spec.Interferer) {
 				err = fmt.Errorf("sim: unknown interferer kind %q (registered: %v)", args[0], phy.Names())
 				break
@@ -237,6 +254,7 @@ func Parse(s string) (*Spec, error) {
 				spec.InterfererFreqHz, err = num(2)
 			}
 		case "dropout":
+			spec.DropoutDepthDB = 0
 			if err = atMost(2); err != nil {
 				break
 			}
@@ -295,7 +313,7 @@ func (s *Spec) String() string {
 	if s.Interferer != "" {
 		parts = append(parts, fmt.Sprintf("interferer=%s:%g:%g", s.Interferer, s.InterfererDBm, s.InterfererFreqHz))
 	}
-	if s.DropoutProb != 0 {
+	if s.DropoutProb != 0 || s.DropoutDepthDB != 0 {
 		if s.DropoutDepthDB != 0 {
 			parts = append(parts, fmt.Sprintf("dropout=%g:%g", s.DropoutProb, s.DropoutDepthDB))
 		} else {

@@ -29,20 +29,50 @@ func TestParseFull(t *testing.T) {
 	}
 }
 
+// validScenarios and invalidScenarios seed TestParseErrors, the round
+// trip tests and FuzzParse.
+var validScenarios = []string{
+	"",
+	"clean",
+	"fading=rician:10:3,cfo=200,cfojitter=50,drift=20,interferer=lora:-110:25000,speed=30",
+	"fading=rayleigh:2,drift=5,interferer=ble:-95",
+	"fading=rician:12,cfojitter=50",
+	"fading=rayleigh:64,dropout=0.25:12,mobile",
+	"dropout=0:5",
+	"fading=rician:3:2,fading=rayleigh",
+}
+
+var invalidScenarios = []string{
+	"fading=weird",
+	"interferer=wifi:-90",
+	"interferer=lora", // missing power
+	"cfo=abc",
+	"nonsense=1",
+	"fading=rician", // missing K
+	"mobile=false",  // bare flag: a value must not silently enable it
+	"cfo=200:50",    // trailing arguments must error, not drop
+	"fading=rayleigh:3:9",
+	"interferer=lora:-100:0:7",
+	"speed=30:60",
+	"clean,cfo=200", // clean is a whole spec, not a term
+	// Non-finite numbers.
+	"fading=rician:NaN",
+	"cfo=Inf",
+	"drift=-Inf",
+	"dropout=NaN",
+	"interferer=lora:-100:NaN",
+	"cfo=1e400",
+	// Tap counts must be integers in [1, 64].
+	"fading=rayleigh:2.7",
+	"fading=rayleigh:0",
+	"fading=rayleigh:-3",
+	"fading=rayleigh:NaN",
+	"fading=rayleigh:1e9",
+	"fading=rician:6:65",
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"fading=weird",
-		"interferer=wifi:-90",
-		"interferer=lora", // missing power
-		"cfo=abc",
-		"nonsense=1",
-		"fading=rician", // missing K
-		"mobile=false",  // bare flag: a value must not silently enable it
-		"cfo=200:50",    // trailing arguments must error, not drop
-		"fading=rayleigh:3:9",
-		"interferer=lora:-100:0:7",
-		"speed=30:60",
-	} {
+	for _, bad := range invalidScenarios {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
@@ -57,6 +87,13 @@ func TestParseEmptyAndRoundTrip(t *testing.T) {
 	if spec.String() != "clean" {
 		t.Errorf("empty spec renders %q", spec.String())
 	}
+	clean, err := Parse("clean")
+	if err != nil {
+		t.Fatalf("the empty spec's rendering is rejected: %v", err)
+	}
+	if *clean != *spec {
+		t.Errorf("clean parses to %+v, the empty spec to %+v", clean, spec)
+	}
 	spec, err = Parse("fading=rayleigh:2,drift=5,interferer=ble:-95")
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +105,34 @@ func TestParseEmptyAndRoundTrip(t *testing.T) {
 	if *back != *spec {
 		t.Errorf("round trip: %+v != %+v", back, spec)
 	}
+}
+
+// FuzzParse holds the grammar to a fixpoint: an accepted spec renders to
+// a string that parses back to an equal Spec and renders the same again.
+func FuzzParse(f *testing.F) {
+	for _, s := range validScenarios {
+		f.Add(s)
+	}
+	for _, s := range invalidScenarios {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := Parse(in)
+		if err != nil {
+			return
+		}
+		out := spec.String()
+		back, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q is rejected: %v", in, out, err)
+		}
+		if *back != *spec {
+			t.Fatalf("Parse(%q) = %+v, but its rendering %q parses to %+v", in, spec, out, back)
+		}
+		if again := back.String(); again != out {
+			t.Fatalf("Parse(%q) renders %q, which re-renders as %q", in, out, again)
+		}
+	})
 }
 
 func TestResamplePreservesToneFrequency(t *testing.T) {

@@ -125,18 +125,6 @@ func (s *Store) Get(name string) (*Trace, error) {
 	return t, nil
 }
 
-// Remove deletes a trace's manifest. Its blobs stay until GC (another
-// manifest may share them).
-func (s *Store) Remove(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(s.dir, name+manifestExt)); err != nil {
-		return fmt.Errorf("trace: remove %s: %w", name, err)
-	}
-	return nil
-}
-
 // GC removes blobs no stored manifest references and returns their
 // hashes in sorted order.
 func (s *Store) GC() ([]uint64, error) {

@@ -65,9 +65,6 @@ func TestStoreRejectsBadNames(t *testing.T) {
 		if _, err := store.Get(name); err == nil {
 			t.Errorf("name %q accepted by Get", name)
 		}
-		if err := store.Remove(name); err == nil {
-			t.Errorf("name %q accepted by Remove", name)
-		}
 	}
 	if _, err := store.Get("absent"); err == nil {
 		t.Error("missing trace returned")
@@ -103,7 +100,7 @@ func TestStoreGC(t *testing.T) {
 	if len(removed) != 0 {
 		t.Fatalf("gc removed %v with all traces live", removed)
 	}
-	if err := store.Remove("a"); err != nil {
+	if err := os.Remove(filepath.Join(store.Dir(), "a"+manifestExt)); err != nil {
 		t.Fatal(err)
 	}
 	removed, err = store.GC()

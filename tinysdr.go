@@ -227,7 +227,7 @@ func NewSpectrumSensor(w *SenseWorld, fftSize int, seed int64) (*SpectrumSensor,
 type SenseReport = sense.Report
 
 // OccupancyMap is the aggregated time×frequency occupancy grid: exact
-// integer per-cell moments, so merge order never changes the bytes.
+// integer per-cell moments, so ingest order never changes the bytes.
 type OccupancyMap = sense.Map
 
 // NewOccupancyMap returns an empty grid for the geometry and threshold.
