@@ -91,10 +91,10 @@ func main() {
 		go func() {
 			<-sig
 			// Graceful drain: stop admitting (creates now 503), cut running
-			// campaigns at their next shard boundary, checkpoint + compact
-			// the journal, then close the listener. A second signal during
-			// the drain is the classic "no really, now" and exits hard —
-			// the journal makes that safe.
+			// campaigns at their next shard boundary, compact the journal
+			// if it changed and close it, then close the listener. A second
+			// signal during the drain is the classic "no really, now" and
+			// exits hard — the journal makes that safe.
 			fmt.Fprintln(os.Stderr, "tinysdr-fleet: draining (campaigns cut at the next shard boundary)")
 			go func() {
 				<-sig

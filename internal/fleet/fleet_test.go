@@ -1,12 +1,17 @@
 package fleet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/testbed"
 )
 
@@ -188,20 +193,95 @@ func TestCampaignResultGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkRunBroadcast runs the campaign of the sdrbench `campaign`
-// workload in process: a 40-node broadcast of the default MCU image over
-// two 20-node cells at one worker. Run it with -benchmem to read the
-// bytes a campaign allocates.
-func BenchmarkRunBroadcast(b *testing.B) {
-	spec := Spec{
-		Seed: 1, Nodes: 40, ShardSize: 20,
+// benchSpec is the campaign of the sdrbench `campaign` workload: a
+// 40-node broadcast of the default MCU image over two 20-node cells at
+// one worker.
+func benchSpec(seed int64) Spec {
+	return Spec{
+		Seed: seed, Nodes: 40, ShardSize: 20,
 		Mode: ModeBroadcast, Image: ImageMCU, ImageKB: DefaultImageKB,
 		Workers: 1,
 	}
+}
+
+// BenchmarkRunBroadcast runs the campaign of the sdrbench `campaign`
+// workload in process. Run it with -benchmem to read the bytes a
+// campaign allocates.
+func BenchmarkRunBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
+		if _, err := Run(benchSpec(1)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenDrain restarts the control plane in process, as the
+// sdrbench `campaign` side op does at seed 1: OpenServer then Drain on a
+// fresh copy of a journal. "clean" is that op's journal, 48 finished
+// campaigns left by a clean drain, which already is its own compaction.
+// "killed-after-done" adds a 49th campaign whose server died right after
+// its done record, so OpenServer must compact the superseded started and
+// shard-done records away.
+func BenchmarkOpenDrain(b *testing.B) {
+	ctx := context.Background()
+	dir := b.TempDir()
+	s, err := OpenServer(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < 48; j++ {
+		id := fmt.Sprintf("seed-%d", j)
+		if _, _, err := s.CreateID(id, benchSpec(par.SplitSeed(par.SplitSeed(1, 0), int64(j)))); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Drain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, JournalName)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if s, err = OpenServer(dir); err != nil {
+		b.Fatal(err)
+	}
+	s.CrashAfterAppends(5)
+	if _, _, err := s.CreateID("killed", benchSpec(2)); err != nil {
+		b.Fatal(err)
+	}
+	<-s.Crashed()
+	killed, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	for _, bc := range []struct {
+		name    string
+		journal []byte
+	}{{"clean", clean}, {"killed-after-done", killed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			path := filepath.Join(dir, JournalName)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.WriteFile(path, bc.journal, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				s, err := OpenServer(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Drain(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

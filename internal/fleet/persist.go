@@ -23,14 +23,19 @@ package fleet
 // out-of-range shards, transitions after a terminal record, or malformed
 // payloads reject the journal — inside a CRC-valid record those are
 // writer bugs, not torn writes, and recovery must not guess. Compaction
-// (on open and on drain) rewrites the log as its minimal equivalent:
-// created + terminal for finished campaigns, created [+ started +
-// shard-dones] for live ones, in creation order.
+// rewrites the log as its minimal equivalent: created + terminal for
+// finished campaigns, created [+ started + shard-dones] for live ones, in
+// creation order. It runs on open only when the replayed records differ
+// from that image, and on drain only when a record was appended (or an
+// append attempted) since; a clean-drained journal already is its own
+// compaction, so a restart that changes nothing rewrites nothing.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -283,4 +288,14 @@ func (s *Server) snapshotRecordsLocked() ([]journal.Record, error) {
 		}
 	}
 	return out, nil
+}
+
+// sameRecords reports whether two record lists match record for record,
+// type and payload bytes alike. Journal framing is canonical, so a
+// journal whose records equal the compaction image is that image, byte
+// for byte, and rewriting it would change nothing.
+func sameRecords(a, b []journal.Record) bool {
+	return slices.EqualFunc(a, b, func(x, y journal.Record) bool {
+		return x.Type == y.Type && bytes.Equal(x.Data, y.Data)
+	})
 }

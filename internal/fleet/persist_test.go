@@ -60,6 +60,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatalf("golden run: %v", err)
 	}
 	goldenJSON := resultJSON(t, golden)
+	drained := drainedJournal(t, t.TempDir())
 
 	// 5 total appends; crashing after the 5th is a completed campaign.
 	for crashAt := 1; crashAt <= 5; crashAt++ {
@@ -101,8 +102,45 @@ func TestResumeBitIdentical(t *testing.T) {
 			if resumed := resultJSON(t, fin.Result); !bytes.Equal(resumed, goldenJSON) {
 				t.Errorf("resumed result differs from uninterrupted run\n got: %s\nwant: %s", resumed, goldenJSON)
 			}
+			// The resumed run appended records, so the drain must compact
+			// them to what an uninterrupted run's drain leaves.
+			if err := s2.Drain(context.Background()); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if got := readJournal(t, dir); !bytes.Equal(got, drained) {
+				t.Errorf("journal after resume and drain differs from an uninterrupted run's (%d vs %d bytes)", len(got), len(drained))
+			}
 		})
 	}
+}
+
+// drainedJournal runs crashSpec to the end on a journal-backed server in
+// the empty state dir dir, drains it, and returns the journal it leaves:
+// created + done.
+func drainedJournal(t *testing.T, dir string) []byte {
+	t.Helper()
+	s, err := OpenServer(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	c, err := s.Create(crashSpec)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	waitTerminal(t, s, c.ID)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	return readJournal(t, dir)
+}
+
+func readJournal(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestRecoverResumesOnlyMissingShards pins the resume seam: a campaign
@@ -452,40 +490,180 @@ func TestOpenServerRejectsCorruptJournal(t *testing.T) {
 	}
 }
 
-// TestCompactionCanonical pins that compaction is a fixed point: opening
-// and re-opening a state dir must leave the journal bytes unchanged once
-// the state is stable.
+// TestCompactionCanonical pins compaction as a fixed point that runs
+// only when it changes something. Every case holds crashSpec's campaign
+// as c1, so whatever the state dir held, the journal after OpenServer and
+// after Drain must be the bytes a clean run and drain leave — the
+// compaction image. A journal that already is that image, once
+// journal.Open has cut a torn tail, must keep its very file across the
+// open/drain cycle. The hard link holds the original inode, so a rewrite
+// through tmp+rename cannot reuse its number and pass as the same file.
 func TestCompactionCanonical(t *testing.T) {
+	want := drainedJournal(t, t.TempDir())
+	cases := []struct {
+		name string
+		// killed: the server died right after the done record, leaving
+		// the superseded started and shard-done records for open to
+		// compact away.
+		killed bool
+		// torn: a partial frame follows the last record.
+		torn bool
+		// indent: the records' JSON is indented, as a journal another
+		// writer left might be; replay accepts it, open re-encodes it.
+		indent bool
+	}{
+		{name: "clean-drain"},
+		{name: "torn-tail", torn: true},
+		{name: "killed-after-done", killed: true},
+		{name: "killed-after-done-torn-tail", killed: true, torn: true},
+		{name: "indented-json", indent: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.killed {
+				s1, err := OpenServer(dir)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				s1.CrashAfterAppends(5)
+				if _, err := s1.Create(crashSpec); err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				<-s1.Crashed()
+			} else {
+				drainedJournal(t, dir)
+			}
+			path := filepath.Join(dir, JournalName)
+			if tc.indent {
+				recs, _, err := journal.Parse(readJournal(t, dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := journal.Header()
+				for _, r := range recs {
+					var buf bytes.Buffer
+					if err := json.Indent(&buf, r.Data, "", "  "); err != nil {
+						t.Fatal(err)
+					}
+					if out, err = journal.AppendFrame(out, journal.Record{Type: r.Type, Data: buf.Bytes()}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := os.WriteFile(path, out, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.torn {
+				frame, err := journal.AppendFrame(nil, journal.Record{Type: recStarted, Data: []byte(`{"id":"c2"}`)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(frame[:len(frame)-3]); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held := filepath.Join(dir, "held.journal")
+			if err := os.Link(path, held); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := OpenServer(dir)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if got := readJournal(t, dir); !bytes.Equal(got, want) {
+				t.Errorf("journal after open is not the compaction image (%d vs %d bytes)", len(got), len(want))
+			}
+			if err := s2.Drain(context.Background()); err != nil {
+				t.Fatalf("drain after reopen: %v", err)
+			}
+			if got := readJournal(t, dir); !bytes.Equal(got, want) {
+				t.Errorf("journal after drain is not the compaction image (%d vs %d bytes)", len(got), len(want))
+			}
+			heldInfo, err := os.Stat(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := !tc.killed && !tc.indent
+			if kept := os.SameFile(heldInfo, info); kept != keep {
+				t.Errorf("journal file kept across the open/drain cycle: %v, want %v", kept, keep)
+			}
+		})
+	}
+}
+
+// TestDrainAfterAbandonedDrain pins the repeated-drain rule. A Drain whose
+// ctx expires returns while runners still settle and the journal is still
+// open; the next Drain must wait them out, compact and close the journal,
+// not report success while the cut campaign is still journaling — a
+// caller that reopened the state dir then would put two writers on one
+// journal.
+func TestDrainAfterAbandonedDrain(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := OpenServer(dir)
+	s, err := OpenServer(dir)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	c, err := s1.Create(crashSpec)
+	c, err := s.Create(Spec{Seed: 17, Nodes: 2000, ShardSize: 20, Mode: ModeBroadcast})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	waitTerminal(t, s1, c.ID)
-	if err := s1.Drain(context.Background()); err != nil {
-		t.Fatalf("drain: %v", err)
+	for {
+		got, _ := s.Get(c.ID)
+		if got.ShardsDone > 0 {
+			break
+		}
+		if got.Status != StatusPending && got.Status != StatusRunning {
+			t.Fatalf("campaign ended %s before its first shard was journaled", got.Status)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	path := filepath.Join(dir, JournalName)
-	first, err := os.ReadFile(path)
+	// Count one more runner, so the first drain gives up before the
+	// campaign settles however the shards are timed.
+	s.wg.Add(1)
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Drain(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain with an expired ctx: %v, want context.Canceled", err)
+	}
+	s.wg.Done()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("repeated drain: %v", err)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.states[c.ID].done:
+	default:
+		t.Fatalf("repeated drain returned while campaign %s was still running", c.ID)
+	}
+	if err := s.j.Append(journal.Record{Type: recStarted, Data: []byte(`{"id":"late"}`)}); err == nil {
+		t.Fatalf("journal still open after the repeated drain")
+	}
+	snap, err := s.snapshotRecordsLocked()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenServer(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+	image := journal.Header()
+	for _, r := range snap {
+		if image, err = journal.AppendFrame(image, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s2.Drain(context.Background()); err != nil {
-		t.Fatalf("second drain: %v", err)
-	}
-	second, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("compaction is not canonical: journal bytes changed across a no-op open/drain cycle")
+	if got := readJournal(t, dir); !bytes.Equal(got, image) {
+		t.Errorf("journal after the repeated drain is not the compaction image of the cut campaign (%d vs %d bytes)", len(got), len(image))
 	}
 }

@@ -81,10 +81,16 @@ type Server struct {
 	// Every lifecycle transition appends a record before the in-memory
 	// state moves (see persist.go).
 	j *journal.Journal
-	// draining stops admissions; killed simulates SIGKILL (journal closed
-	// abruptly, no further transitions journaled or applied).
+	// draining stops admissions; drained marks a drain that finished (the
+	// journal closed); killed simulates SIGKILL (journal closed abruptly,
+	// no further transitions journaled or applied).
 	draining bool
+	drained  bool
 	killed   bool
+	// dirty records that a record was appended, or an append attempted,
+	// since OpenServer left the journal equal to its compaction; Drain
+	// compacts only then.
+	dirty bool
 	// crashAfter counts journal appends until a simulated kill fires; 0
 	// disables. crashed closes when a kill (real or simulated) happens.
 	crashAfter int
@@ -112,8 +118,9 @@ func NewServer() *Server {
 // campaigns come back with their results, and interrupted ones re-enqueue
 // and resume from their last journaled shard — a campaign is only ever
 // re-executed at shard granularity, and the resumed Result is
-// byte-identical to an uninterrupted run. The replayed journal is
-// compacted in place before the server starts admitting work.
+// byte-identical to an uninterrupted run. Before the server starts
+// admitting work, the replayed journal is compacted in place, unless its
+// records already are the compaction of the recovered state.
 func OpenServer(stateDir string) (*Server, error) {
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		return nil, err
@@ -149,9 +156,11 @@ func OpenServer(stateDir string) (*Server, error) {
 		j.Close()
 		return nil, err
 	}
-	if err := j.Compact(snap); err != nil {
-		j.Close()
-		return nil, err
+	if !sameRecords(snap, recs) {
+		if err := j.Compact(snap); err != nil {
+			j.Close()
+			return nil, err
+		}
 	}
 	// Re-enqueue interrupted campaigns in creation order, behind the same
 	// run slot a fresh create uses.
@@ -195,6 +204,9 @@ func (s *Server) appendLocked(typ uint8, v any) error {
 	if s.killed {
 		return errKilled
 	}
+	// Before the write: a failed append may leave a partial frame, and
+	// callers may have moved the in-memory state already.
+	s.dirty = true
 	rec, err := marshalRecord(typ, v)
 	if err != nil {
 		return err
@@ -461,13 +473,16 @@ func (s *Server) List() []*Campaign {
 // Drain gracefully shuts the control plane down: stop admitting campaigns
 // (Create returns ErrDraining), interrupt running campaigns at their next
 // shard boundary — completed shards stay journaled, the campaign stays
-// resumable — wait for every runner to settle, then compact and close the
-// journal. ctx bounds the wait; an expired ctx abandons the compaction
-// (the journal is still consistent, just uncompacted — exactly what a kill
-// would leave). Drain is idempotent and a no-op on a killed server.
+// resumable — wait for every runner to settle, then close the journal,
+// compacting it first if a record was appended (or an append attempted)
+// since OpenServer. ctx bounds the wait; an expired ctx abandons the
+// drain, leaving runners settling and the journal open (consistent, just
+// uncompacted — exactly what a kill would leave), and a repeated Drain
+// waits and finishes it. Drain is a no-op after a completed drain and on
+// a killed server.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if s.draining || s.killed {
+	if s.drained || s.killed {
 		s.mu.Unlock()
 		return nil
 	}
@@ -490,15 +505,21 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.j == nil || s.killed {
+	if s.drained || s.killed {
 		return nil
 	}
-	snap, err := s.snapshotRecordsLocked()
-	if err != nil {
-		return err
+	if s.dirty {
+		snap, err := s.snapshotRecordsLocked()
+		if err != nil {
+			return err
+		}
+		if err := s.j.Compact(snap); err != nil {
+			return err
+		}
 	}
-	if err := s.j.Compact(snap); err != nil {
-		return err
+	s.drained = true
+	if s.j == nil {
+		return nil
 	}
 	return s.j.Close()
 }
