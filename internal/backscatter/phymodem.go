@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/iq"
@@ -72,11 +71,6 @@ func (m *Modem) Name() string { return "backscatter" }
 
 // SampleRate implements phy.Modem.
 func (m *Modem) SampleRate() float64 { return m.Config.SampleRate }
-
-// Airtime implements phy.Modem: n bytes of tag bits at the tag bit rate.
-func (m *Modem) Airtime(payloadBytes int) time.Duration {
-	return time.Duration(float64(payloadBytes*8) / m.Config.BitRate * float64(time.Second))
-}
 
 // Radio implements phy.Modem.
 func (m *Modem) Radio() channel.RadioProfile { return m.profile }

@@ -2,16 +2,10 @@ package ble
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/iq"
 )
-
-// airOverheadBytes is everything around the advertising payload on air:
-// preamble (1) + access address (4) + PDU header (2) + advertiser address
-// (6) + CRC (3).
-const airOverheadBytes = 1 + 4 + 2 + 6 + 3
 
 // bleDetectionSNRdB is the in-channel SNR the discriminator receiver needs
 // for reliable beacon decode. 16 dB over the ~1 MHz signal bandwidth puts
@@ -66,13 +60,6 @@ func (m *Modem) Name() string { return "ble" }
 
 // SampleRate implements phy.Modem.
 func (m *Modem) SampleRate() float64 { return m.mod.SampleRate() }
-
-// Airtime implements phy.Modem: the on-air duration of a beacon carrying an
-// n-byte advertising payload.
-func (m *Modem) Airtime(payloadBytes int) time.Duration {
-	bits := (airOverheadBytes + payloadBytes) * 8
-	return time.Duration(float64(bits) / BitRate * float64(time.Second))
-}
 
 // Radio implements phy.Modem.
 func (m *Modem) Radio() channel.RadioProfile { return m.profile }

@@ -37,12 +37,10 @@ func (d *Discriminator) Reset() {
 	d.pos = 0
 }
 
-// Pos returns how many samples of the current signal have been processed.
-func (d *Discriminator) Pos() int { return d.pos }
-
-// ExtendInto filters x[Pos():upto] (clamped to len(x)) and writes the
-// per-sample instantaneous frequency of the filtered signal, in radians per
-// sample, into the same range of dst, returning dst[:min(upto,len(x))].
+// ExtendInto filters x from the first sample not yet processed since Reset
+// up to upto (clamped to len(x)) and writes the per-sample instantaneous
+// frequency of the filtered signal, in radians per sample, into the same
+// range of dst, returning dst[:min(upto,len(x))].
 // dst[0] is 0 (no previous sample). The filter's edge clamping is computed
 // against the full signal length, so the values are identical whether the
 // signal is processed in one call or many — chunked runs are exact

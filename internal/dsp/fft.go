@@ -79,9 +79,6 @@ func NewFFTPlan(n int) *FFTPlan {
 	return p
 }
 
-// Size returns the transform size the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 // firstTwiddleSpan is the span of the ladder's first radix-4 stage with
 // twiddles: 2 after the radix-2 seed stage when log2(n) is odd, else 4
 // after the multiply-free span-1 stage.

@@ -45,9 +45,6 @@ func NewLowpass(n int, cutoff float64) *FIR {
 	return &FIR{taps: taps}
 }
 
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.taps) }
-
 // FilterInto convolves x with the taps into dst and returns dst
 // (zero-padded edges, linear-phase alignment to the group delay).
 // len(dst) must equal len(x); dst must not alias x. It performs no

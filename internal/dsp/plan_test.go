@@ -10,8 +10,8 @@ import (
 func TestFFTPlanMatchesFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 64, 256, 1024} {
 		plan := NewFFTPlan(n)
-		if plan.Size() != n {
-			t.Fatalf("plan size = %d, want %d", plan.Size(), n)
+		if plan.n != n {
+			t.Fatalf("plan size = %d, want %d", plan.n, n)
 		}
 		x := randomSamples(n, int64(n))
 		want := naiveDFT(x)
@@ -264,8 +264,8 @@ func TestDiscriminatorMatchesUnfusedAndChunks(t *testing.T) {
 	for _, upto := range []int{1, 7, 64, 65, 300, 499, 500, 600} {
 		d.ExtendInto(chunked, x, upto)
 	}
-	if d.Pos() != len(x) {
-		t.Fatalf("Pos() = %d after full extension, want %d", d.Pos(), len(x))
+	if d.pos != len(x) {
+		t.Fatalf("pos = %d after full extension, want %d", d.pos, len(x))
 	}
 	for i := range want {
 		if chunked[i] != want[i] {

@@ -96,9 +96,6 @@ func NewWelchPlan(fftSize int) *WelchPlan {
 	return w
 }
 
-// Size returns the FFT size the plan was built for.
-func (w *WelchPlan) Size() int { return len(w.win) }
-
 // EstimateInto computes the calibrated Welch power spectrum of x into dst
 // (len(dst) must equal the plan's FFT size; it panics otherwise) and
 // returns the Spectrum viewing dst. Hann-windowed periodograms with 50%

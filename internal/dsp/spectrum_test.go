@@ -87,8 +87,8 @@ func TestWelchPlanMatchesWelch(t *testing.T) {
 	iq.Samples(x).ScaleToDBm(-30)
 	want := Welch(x, 512, 4e6)
 	w := NewWelchPlan(512)
-	if w.Size() != 512 {
-		t.Fatalf("plan size %d", w.Size())
+	if len(w.win) != 512 {
+		t.Fatalf("plan size %d", len(w.win))
 	}
 	dst := make([]float64, 512)
 	for round := 0; round < 2; round++ { // scratch reuse must not leak state

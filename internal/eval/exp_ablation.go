@@ -226,7 +226,7 @@ func AblationRateAdaptation(cfg Config) (*Result, error) {
 			rssi := campus.RSSI(n) - campus.APTXPowerDBm + uplinkTX
 			sf := s.sf(rssi)
 			p := lora.Params{SF: sf, BW: bw, CR: lora.CR45, PreambleLen: 8, SyncWord: 0x34,
-				ExplicitHeader: true, CRC: true, OSR: 1}
+				CRC: true, OSR: 1}
 			per := lora.PacketErrorRate(p, payload, rssi, radio.SX1276NoiseFigureDB)
 			if per > 0.5 {
 				continue // link effectively dead at this rate

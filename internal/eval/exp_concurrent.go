@@ -15,7 +15,7 @@ import (
 // from one 250 kHz stream.
 func concurrentSetup() (p1, p2 lora.Params, rate float64) {
 	p1 = lora.Params{SF: 8, BW: 125e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	p2 = p1
 	p2.BW = 250e3
 	return p1, p2, 250e3

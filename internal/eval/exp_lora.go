@@ -17,7 +17,7 @@ import (
 func fig10Params(bw float64, ideal bool) lora.Params {
 	return lora.Params{
 		SF: 8, BW: bw, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1, Ideal: ideal,
+		CRC: true, OSR: 1, Ideal: ideal,
 	}
 }
 

@@ -163,7 +163,7 @@ func SleepPower(cfg Config) (*Result, error) {
 // RX, with the radio's share broken out.
 func LoRaPacketPower(cfg Config) (*Result, error) {
 	p := lora.Params{SF: 9, BW: 500e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	tx := core.New(core.Config{ID: 1})
 	if err := tx.ConfigureLoRa(p); err != nil {
 		return nil, err

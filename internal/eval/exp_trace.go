@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"os"
 
 	"github.com/uwsdr/tinysdr/internal/par"
@@ -95,22 +94,14 @@ func TraceReplay(cfg Config) (*Result, error) {
 	}
 
 	// The A/B gate proper: replay at the configured pool and at one
-	// worker; both must reproduce the recorded metrics to the last bit.
-	recorded := tr.Manifest.Stats()
-	workerCounts := []int{par.ResolveWorkers(cfg.Workers), 1}
-	for _, workers := range workerCounts {
+	// worker; Verify holds every loss flag, the failure count and the
+	// RSSI bits to the recorded manifest.
+	for _, workers := range []int{par.ResolveWorkers(cfg.Workers), 1} {
 		if err := trace.Verify(stored, workers); err != nil {
 			return nil, fmt.Errorf("eval: replay at %d workers diverged: %w", workers, err)
 		}
-		st, err := trace.Replay(stored, workers)
-		if err != nil {
-			return nil, err
-		}
-		if math.Float64bits(st.PER) != math.Float64bits(recorded.PER) ||
-			math.Float64bits(st.RSSIdBm) != math.Float64bits(recorded.RSSIdBm) {
-			return nil, fmt.Errorf("eval: replay stats at %d workers not byte-identical", workers)
-		}
 	}
+	recorded := stored.Manifest.Stats()
 
 	rawBytes := 0
 	for _, b := range stored.Blobs {

@@ -18,14 +18,19 @@ import (
 // main and init functions of every package, the exported declarations of
 // the tinysdr facade, and whatever the benchmark module under sdrbench/
 // calls. A method is reached in one of two ways: a reached declaration
-// references it (a call, a method value or a method expression), or its
-// receiver type is reached and its name is a method of some interface
-// type that appears in the loaded packages or anything they import, or is
-// the universe error. The second case keeps what interface dispatch and
-// hooks such as String, Error and MarshalBinary call, which a reference
-// walk cannot see. Constants are exempt: datasheet values and wire
-// enumerations document the hardware whether or not a code path reads
-// them.
+// references it (a call, a method value or a method expression), or
+// interface dispatch can call it. Dispatch can call a method of a reached
+// type when its type, or its pointer, has every method of some interface
+// that declares the method's name, and that interface is declared outside
+// the loaded packages (error, fmt.Stringer, encoding.BinaryMarshaler and
+// the other hooks the standard library calls) or loaded code calls the
+// method through it; an interface literal belongs to the package that
+// spells it. Methods are matched by name and by signature, written
+// as type strings without parameter names: each package is type-checked
+// against export data, so the same interface is a different object in
+// every package that imports it. Constants are exempt: datasheet values
+// and wire enumerations document the hardware whether or not a code path
+// reads them.
 
 const modulePath = "github.com/uwsdr/tinysdr"
 
@@ -49,9 +54,10 @@ var testReferences = map[string]string{
 	modulePath + "/internal/lint/analysistest.Run":          "TestNoAllocIntoFixtures",
 	modulePath + "/internal/lint/analysistest.LoadFixtures": "TestWaiverMechanism",
 
-	modulePath + "/internal/ble.Demodulator.DemodBits": "TestStreamBitsMatchesDemodBits",
-	modulePath + "/internal/eval.Adaptive.MinTrials":   "TestAdaptiveSaturatedStopsAtMinTrials",
-	modulePath + "/internal/ota.Node.VerifyImage":      "TestBroadcastDeliversExactImages",
+	modulePath + "/internal/ble.Demodulator.DemodBits":          "TestStreamBitsMatchesDemodBits",
+	modulePath + "/internal/eval.Adaptive.MinTrials":            "TestAdaptiveSaturatedStopsAtMinTrials",
+	modulePath + "/internal/lora.Modem.DemodAlignedSymbolsInto": "TestSymbolDemodZeroAllocsThroughModem",
+	modulePath + "/internal/ota.Node.VerifyImage":               "TestBroadcastDeliversExactImages",
 }
 
 // declKey names a package-level declaration: "pkg.Name" or, for a method,
@@ -96,25 +102,87 @@ func objKey(obj types.Object) string {
 
 // decl is one package-level declaration and what it references.
 type decl struct {
-	pos     token.Position
-	kind    string // "func", "method", "type", "var", "const"
-	refs    []string
-	methods []string // for a type: the keys of its methods
+	pos  token.Position
+	kind string // "func", "method", "type", "var", "const"
+	refs []string
+	// methods is a named non-interface type's method set, its pointer's
+	// and promoted methods included, by name.
+	methods map[string]method
+}
+
+// method is one entry of a method set: its signature (see sigString) and
+// the key of the declaration that provides it.
+type method struct {
+	sig, key string
+}
+
+// iface is one interface type the loaded packages spell or import.
+type iface struct {
+	pkg     string // the path of the package that declares or spells it
+	methods map[string]method
 }
 
 // graph is the reference graph of every loaded package-level declaration.
 type graph struct {
 	decls map[string]*decl
 	roots []string
-	// ifaceMethods holds the method names of every interface type the
-	// loaded packages spell or import.
-	ifaceMethods map[string]bool
+	// loaded holds the paths of the loaded packages.
+	loaded map[string]bool
+	// ifaces lists, under each method name, the interface types that
+	// declare it; ifaceIDs holds the type string of each, so an interface
+	// seen from many packages is listed once.
+	ifaces   map[string][]*iface
+	ifaceIDs map[string]bool
+	// called holds the keys (see ifaceMethodKey) of the interface methods
+	// loaded code calls, takes as a method value or names in a method
+	// expression.
+	called map[string]bool
 }
 
-// newGraph returns an empty graph that counts the universe error's Error
-// as an interface method.
+// newGraph returns an empty graph that knows the universe error.
 func newGraph() *graph {
-	return &graph{decls: map[string]*decl{}, ifaceMethods: map[string]bool{"Error": true}}
+	g := &graph{decls: map[string]*decl{}, loaded: map[string]bool{},
+		ifaces: map[string][]*iface{}, ifaceIDs: map[string]bool{}, called: map[string]bool{}}
+	g.addIface(types.Universe.Lookup("error").Type(), "")
+	return g
+}
+
+// pathQualifier spells every package by its import path.
+func pathQualifier(p *types.Package) string { return p.Path() }
+
+// sigString renders a method signature as type strings without parameter
+// names, so the same method reads the same in every package's type-check.
+func sigString(sig *types.Signature) string {
+	unnamed := func(t *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, t.Len())
+		for i := range vars {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+		}
+		return types.NewTuple(vars...)
+	}
+	return types.TypeString(types.NewSignatureType(nil, nil, nil,
+		unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic()), pathQualifier)
+}
+
+// ifaceMethodKey names an interface method the same way where its
+// interface is spelled and at every call through it: its objKey, or for
+// a literal interface (and error), the literal's type string and the name.
+func ifaceMethodKey(fn *types.Func) string {
+	if k := objKey(fn); k != "" {
+		return k
+	}
+	return types.TypeString(fn.Type().(*types.Signature).Recv().Type(), pathQualifier) + "." + fn.Name()
+}
+
+// methodSet returns the method set of *t by name.
+func methodSet(t types.Type) map[string]method {
+	ms := types.NewMethodSet(types.NewPointer(t))
+	out := make(map[string]method, ms.Len())
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj().(*types.Func)
+		out[fn.Name()] = method{sig: sigString(fn.Type().(*types.Signature)), key: objKey(fn)}
+	}
+	return out
 }
 
 // refsOf collects the declKeys of every object the node references.
@@ -154,10 +222,12 @@ func recvName(expr ast.Expr) string {
 func (g *graph) add(fset *token.FileSet, pkg *lint.Package) {
 	path := pkg.Types.Path()
 	exported := path == modulePath
-	put := func(key, kind string, node ast.Node, pos token.Pos) {
-		g.decls[key] = &decl{pos: fset.Position(pos), kind: kind, refs: refsOf(pkg.Info, node)}
+	g.loaded[path] = true
+	put := func(key, kind string, node ast.Node, pos token.Pos) *decl {
+		d := &decl{pos: fset.Position(pos), kind: kind, refs: refsOf(pkg.Info, node)}
+		g.decls[key] = d
+		return d
 	}
-	var methods [][2]string // {type key, method key}
 	for _, f := range pkg.Files {
 		for _, node := range f.Decls {
 			switch dn := node.(type) {
@@ -171,15 +241,15 @@ func (g *graph) add(fset *token.FileSet, pkg *lint.Package) {
 					}
 					continue
 				}
-				recv := recvName(dn.Recv.List[0].Type)
-				key := declKey(path, recv, name)
-				put(key, "method", dn, dn.Pos())
-				methods = append(methods, [2]string{declKey(path, "", recv), key})
+				put(declKey(path, recvName(dn.Recv.List[0].Type), name), "method", dn, dn.Pos())
 			case *ast.GenDecl:
 				for _, spec := range dn.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						put(declKey(path, "", s.Name.Name), "type", s, s.Pos())
+						d := put(declKey(path, "", s.Name.Name), "type", s, s.Pos())
+						if t := pkg.Info.Defs[s.Name].Type(); !types.IsInterface(t) {
+							d.methods = methodSet(t)
+						}
 						if exported && ast.IsExported(s.Name.Name) {
 							g.roots = append(g.roots, declKey(path, "", s.Name.Name))
 						}
@@ -205,28 +275,49 @@ func (g *graph) add(fset *token.FileSet, pkg *lint.Package) {
 			}
 		}
 	}
-	for _, m := range methods {
-		if t := g.decls[m[0]]; t != nil {
-			t.methods = append(t.methods, m[1])
+	for _, obj := range pkg.Info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				g.called[ifaceMethodKey(fn)] = true
+			}
 		}
 	}
 	g.addInterfaces(pkg)
 }
 
-// addInterfaces records the method names of every interface type pkg
-// spells, named or literal, and of every named interface type declared in
-// the packages it imports, transitively.
-func (g *graph) addInterfaces(pkg *lint.Package) {
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				g.ifaceMethods[it.Method(i).Name()] = true
-			}
-		}
+// addIface records t if it is an interface type with methods. A named
+// interface belongs to the package that declares it; a literal one,
+// including the type expression of a named interface's declaration, to
+// spelledIn, the package that spells it.
+func (g *graph) addIface(t types.Type, spelledIn string) {
+	t = types.Unalias(t)
+	it, ok := t.Underlying().(*types.Interface)
+	if !ok || it.NumMethods() == 0 {
+		return
 	}
+	id := types.TypeString(t, pathQualifier)
+	if g.ifaceIDs[id] {
+		return
+	}
+	g.ifaceIDs[id] = true
+	in := &iface{pkg: spelledIn, methods: map[string]method{}}
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
+		in.pkg = n.Obj().Pkg().Path()
+	}
+	for i := 0; i < it.NumMethods(); i++ {
+		fn := it.Method(i)
+		in.methods[fn.Name()] = method{sig: sigString(fn.Type().(*types.Signature)), key: ifaceMethodKey(fn)}
+		g.ifaces[fn.Name()] = append(g.ifaces[fn.Name()], in)
+	}
+}
+
+// addInterfaces records every interface type pkg spells, named or
+// literal, and every named interface type declared in the packages it
+// imports, transitively.
+func (g *graph) addInterfaces(pkg *lint.Package) {
 	for _, tv := range pkg.Info.Types {
 		if tv.IsType() {
-			addIface(tv.Type)
+			g.addIface(tv.Type, pkg.Types.Path())
 		}
 	}
 	seen := map[*types.Package]bool{}
@@ -239,7 +330,7 @@ func (g *graph) addInterfaces(pkg *lint.Package) {
 		scope := p.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				addIface(tn.Type())
+				g.addIface(tn.Type(), p.Path())
 			}
 		}
 		for _, imp := range p.Imports() {
@@ -247,6 +338,31 @@ func (g *graph) addInterfaces(pkg *lint.Package) {
 		}
 	}
 	walk(pkg.Types)
+}
+
+// dispatches reports whether interface dispatch can call the method name
+// of a type with method set ms: some interface that declares the name has
+// all its methods in ms, and either loaded code calls the method through
+// that interface or the interface is declared outside the loaded packages.
+func (g *graph) dispatches(ms map[string]method, name string) bool {
+	for _, it := range g.ifaces[name] {
+		if !g.loaded[it.pkg] || g.called[it.methods[name].key] {
+			if implements(ms, it) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// implements reports whether ms has every method of it.
+func implements(ms map[string]method, it *iface) bool {
+	for name, m := range it.methods {
+		if ms[name].sig != m.sig {
+			return false
+		}
+	}
+	return true
 }
 
 // reach marks everything reachable from the roots.
@@ -262,9 +378,9 @@ func (g *graph) reach() map[string]bool {
 		seen[k] = true
 		if d := g.decls[k]; d != nil {
 			stack = append(stack, d.refs...)
-			for _, m := range d.methods {
-				if g.ifaceMethods[m[strings.LastIndexByte(m, '.')+1:]] {
-					stack = append(stack, m)
+			for name, m := range d.methods {
+				if g.dispatches(d.methods, name) {
+					stack = append(stack, m.key)
 				}
 			}
 		}
@@ -321,8 +437,11 @@ func TestEveryDeclarationIsReachable(t *testing.T) {
 
 // TestReachFlagsOnlyTheUncalledMethod runs the walker over the fixture
 // program under testdata/src/reach: of its reachable type's methods it
-// must flag exactly the one nothing calls, and keep the one reached only
-// through an interface, the String and Error hooks, and the method value.
+// must flag exactly the three nothing calls (one plain, one named like
+// rand.Source.Seed on a type that has both rand.Source names but not both
+// signatures, one that implements an interface nothing calls through), and
+// keep the one reached only through an interface, the String and Error
+// hooks, the method value and the direct call.
 func TestReachFlagsOnlyTheUncalledMethod(t *testing.T) {
 	fset, pkgs := analysistest.LoadFixtures(t, filepath.Join("testdata", "src", "reach"))
 	g := newGraph()
@@ -330,7 +449,13 @@ func TestReachFlagsOnlyTheUncalledMethod(t *testing.T) {
 		g.add(fset, pkg)
 	}
 	dead := g.unreachable()
-	if len(dead) != 1 || !strings.HasSuffix(dead[0], ": method app.square.Diagonal") {
-		t.Fatalf("unreachable = %q, want only method app.square.Diagonal", dead)
+	want := []string{"method app.square.Diagonal", "method app.square.Name", "method app.square.Seed"}
+	if len(dead) != len(want) {
+		t.Fatalf("unreachable = %q, want only %q", dead, want)
+	}
+	for i, d := range dead {
+		if !strings.HasSuffix(d, ": "+want[i]) {
+			t.Fatalf("unreachable = %q, want only %q", dead, want)
+		}
 	}
 }

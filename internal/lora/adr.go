@@ -6,8 +6,9 @@ package lora
 // the observed RSSI. Lower SF means shorter airtime and less energy per
 // packet; higher SF buys sensitivity.
 
-// MinAdaptSF is the lowest SF rate adaptation selects: SF6 requires the
-// implicit-header mode, so adaptive links start at SF7.
+// MinAdaptSF is the lowest SF rate adaptation selects: SF6 needs the
+// implicit header and every packet carries the explicit one, so adaptive
+// links start at SF7.
 const MinAdaptSF = 7
 
 // AdaptSF returns the lowest SF in [MinAdaptSF, 12] whose link margin

@@ -29,7 +29,7 @@ func TestTimeOnAirGoldenValues(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := Params{SF: c.sf, BW: c.bw, CR: c.cr, PreambleLen: 8, SyncWord: 0x12,
-			ExplicitHeader: true, CRC: true, OSR: 1}
+			CRC: true, OSR: 1}
 		got := p.TimeOnAir(c.payload).Seconds() * 1e3
 		if math.Abs(got-c.wantMS) > c.wantMS*0.005 {
 			t.Errorf("SF%d BW%.0fk %v %dB: %.2f ms, want %.2f", c.sf, c.bw/1e3, c.cr, c.payload, got, c.wantMS)
@@ -40,7 +40,7 @@ func TestTimeOnAirGoldenValues(t *testing.T) {
 func TestTimeOnAirLDRO(t *testing.T) {
 	// Low-data-rate optimization lengthens packets (fewer bits/symbol).
 	base := Params{SF: 12, BW: 125e3, CR: CR45, PreambleLen: 8, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	ldro := base
 	ldro.LowDataRateOptimize = true
 	if ldro.TimeOnAir(32) <= base.TimeOnAir(32) {
@@ -69,7 +69,7 @@ func TestSymbolDurationAcrossConfigs(t *testing.T) {
 		{8, 250e3, 1024 * time.Microsecond},
 	}
 	for _, c := range cases {
-		p := Params{SF: c.sf, BW: c.bw, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1, CRC: true, ExplicitHeader: true}
+		p := Params{SF: c.sf, BW: c.bw, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1, CRC: true}
 		if got := symbolTime(p); got < c.want-1 || got > c.want+1 {
 			t.Errorf("SF%d/BW%.0fk: %v, want %v", c.sf, c.bw/1e3, got, c.want)
 		}

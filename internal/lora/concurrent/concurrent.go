@@ -17,8 +17,7 @@ import (
 // Decoder runs one demodulation chain per LoRa configuration against a
 // shared sample stream at a common rate.
 type Decoder struct {
-	sampleRate float64
-	chains     []*chain
+	chains []*chain
 }
 
 type chain struct {
@@ -33,7 +32,7 @@ func NewDecoder(sampleRate float64, configs []lora.Params) (*Decoder, error) {
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("concurrent: no configurations")
 	}
-	d := &Decoder{sampleRate: sampleRate}
+	d := &Decoder{}
 	for i, p := range configs {
 		osr := sampleRate / p.BW
 		if osr != float64(int(osr)) || !dsp.IsPowerOfTwo(int(osr)) {
@@ -51,9 +50,6 @@ func NewDecoder(sampleRate float64, configs []lora.Params) (*Decoder, error) {
 	}
 	return d, nil
 }
-
-// SampleRate returns the decoder's common input rate.
-func (d *Decoder) SampleRate() float64 { return d.sampleRate }
 
 // Slope returns the chirp slope BW²/2^SF of chain i, the quantity whose
 // difference makes two configurations orthogonal (§6).

@@ -14,8 +14,8 @@ import (
 // paperConfigs returns the §6 experiment setup: both SF8, bandwidths 125
 // and 250 kHz, decoded at a common 250 kHz rate.
 func paperConfigs() (lora.Params, lora.Params, float64) {
-	p1 := lora.Params{SF: 8, BW: 125e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12, CRC: true, ExplicitHeader: true, OSR: 1}
-	p2 := lora.Params{SF: 8, BW: 250e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12, CRC: true, ExplicitHeader: true, OSR: 1}
+	p1 := lora.Params{SF: 8, BW: 125e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12, CRC: true, OSR: 1}
+	p2 := lora.Params{SF: 8, BW: 250e3, CR: lora.CR45, PreambleLen: 10, SyncWord: 0x12, CRC: true, OSR: 1}
 	return p1, p2, 250e3
 }
 

@@ -46,7 +46,7 @@ const minPreambleWindows = 5
 type Packet struct {
 	// Payload is the decoded payload.
 	Payload []byte
-	// Header is the decoded explicit header (zero value for implicit RX).
+	// Header is the decoded explicit header.
 	Header Header
 	// CRCOK reports whether the payload CRC verified (true when absent).
 	CRCOK bool
@@ -183,11 +183,8 @@ func (d *Demodulator) findPreamble(sig iq.Samples) (alignedStart int, confirmedA
 	return 0, 0, errors.New("lora: no preamble found")
 }
 
-// Receive locates and decodes one explicit-header packet in sig.
+// Receive locates and decodes one packet in sig.
 func (d *Demodulator) Receive(sig iq.Samples) (*Packet, error) {
-	if !d.p.ExplicitHeader {
-		return nil, errors.New("lora: Receive requires an explicit header")
-	}
 	sig = d.Filter(sig)
 	s := d.symLen
 	start, _, err := d.findPreamble(sig)

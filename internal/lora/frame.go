@@ -120,10 +120,7 @@ func (p Params) encodeBlocks(payload []byte) ([]int, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("lora: payload %d exceeds %d bytes", len(payload), MaxPayload)
 	}
-	nibs := p.nibbles(payload)
-	if p.ExplicitHeader {
-		nibs = append(p.headerNibbles(len(payload)), nibs...)
-	}
+	nibs := append(p.headerNibbles(len(payload)), p.nibbles(payload)...)
 
 	var symbols []int
 	// Block 1: CR 4/8, reduced rate.
@@ -209,12 +206,9 @@ func (p Params) decodePayloadBlocks(symbols []int) (nibs []byte, fecOK bool) {
 // symbolCountFor returns how many payload-section symbols a packet carries,
 // derived from the block layout (it equals the Semtech air-time formula).
 func (p Params) symbolCountFor(payloadLen int) int {
-	nibbles := 2 * payloadLen
+	nibbles := headerNibbleCount + 2*payloadLen
 	if p.CRC {
 		nibbles += 4
-	}
-	if p.ExplicitHeader {
-		nibbles += headerNibbleCount
 	}
 	inFirst := min(nibbles, p.firstBlockApp())
 	rest := nibbles - inFirst

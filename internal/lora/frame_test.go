@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/uwsdr/tinysdr/internal/channel"
 )
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -23,12 +26,28 @@ func TestParamsValidate(t *testing.T) {
 		{SF: 8, BW: 125e3, CR: 5, PreambleLen: 10, OSR: 1},
 		{SF: 8, BW: 125e3, CR: CR45, PreambleLen: 2, OSR: 1},
 		{SF: 8, BW: 125e3, CR: CR45, PreambleLen: 10, OSR: 3},
-		{SF: 6, BW: 125e3, CR: CR45, PreambleLen: 10, OSR: 1, ExplicitHeader: true},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted: %+v", i, p)
 		}
+	}
+
+	// Every packet carries the explicit header: SF7..12 validate, and SF6,
+	// which would need the implicit one, fails Validate and NewModem.
+	p := DefaultParams()
+	for sf := 7; sf <= 12; sf++ {
+		p.SF = sf
+		if err := p.Validate(); err != nil {
+			t.Errorf("SF%d rejected: %v", sf, err)
+		}
+	}
+	p.SF = 6
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "implicit header") {
+		t.Errorf("SF6: Validate = %v, want an error naming the implicit header", err)
+	}
+	if _, err := NewModem(p, channel.RadioProfile{}); err == nil {
+		t.Error("SF6 params accepted by NewModem")
 	}
 }
 
@@ -53,7 +72,7 @@ func TestSymbolTimingAndRates(t *testing.T) {
 func TestPayloadSymbolsMatchesSemtechFormula(t *testing.T) {
 	// Known value: SF7, CR 4/5, 10-byte payload, CRC, explicit -> 28.
 	p := Params{SF: 7, BW: 125e3, CR: CR45, PreambleLen: 8, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	if got := p.payloadSymbols(10); got != 28 {
 		t.Errorf("SF7 CR1 PL10 = %d symbols, want 28", got)
 	}
@@ -66,7 +85,7 @@ func TestBlockLayoutEqualsAirtimeFormula(t *testing.T) {
 		sf := 7 + int(sfRaw)%6 // 7..12
 		cr := CodingRate(1 + int(crRaw)%4)
 		p := Params{SF: sf, BW: 125e3, CR: cr, PreambleLen: 8, SyncWord: 0x12,
-			ExplicitHeader: true, CRC: crcOn, LowDataRateOptimize: ldro, OSR: 1}
+			CRC: crcOn, LowDataRateOptimize: ldro, OSR: 1}
 		return p.symbolCountFor(int(plRaw)) == p.payloadSymbols(int(plRaw))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -110,7 +129,7 @@ func TestFrameRoundTripCleanSymbols(t *testing.T) {
 		for _, cr := range []CodingRate{CR45, CR46, CR47, CR48} {
 			for _, n := range []int{0, 1, 3, 17, 64, 255} {
 				p := Params{SF: sf, BW: 125e3, CR: cr, PreambleLen: 10, SyncWord: 0x12,
-					ExplicitHeader: true, CRC: true, OSR: 1}
+					CRC: true, OSR: 1}
 				payload := make([]byte, n)
 				rng := newTestRand(int64(sf*1000 + int(cr)*100 + n))
 				rng.Read(payload)
@@ -152,7 +171,7 @@ func TestFrameRoundTripCleanSymbols(t *testing.T) {
 func TestFrameSurvivesOneCorruptSymbolAtCR48(t *testing.T) {
 	// With CR 4/8, one fully corrupted payload symbol must be corrected.
 	p := Params{SF: 9, BW: 125e3, CR: CR48, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	payload := []byte("tinysdr!")
 	syms, err := p.encodeBlocks(payload)
 	if err != nil {
@@ -217,7 +236,7 @@ func TestParseHeaderRejectsCorruption(t *testing.T) {
 func TestTimeOnAirKnownConfigurations(t *testing.T) {
 	// SF9 BW500, the OTA-adjacent configuration of §5.2: Tsym = 1.024 ms.
 	p := Params{SF: 9, BW: 500e3, CR: CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	toa := p.TimeOnAir(32)
 	// preamble 10+4.25 = 14.25 syms + payload syms.
 	wantSyms := 14.25 + float64(p.payloadSymbols(32))

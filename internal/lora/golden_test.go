@@ -42,9 +42,9 @@ var goldenCases = []struct {
 	p    Params
 }{
 	{"golden_sf8_bw125_osr1", Params{SF: 8, BW: 125e3, CR: CR45, PreambleLen: 10,
-		SyncWord: 0x12, ExplicitHeader: true, CRC: true, OSR: 1}},
+		SyncWord: 0x12, CRC: true, OSR: 1}},
 	{"golden_sf7_bw250_osr2", Params{SF: 7, BW: 250e3, CR: CR47, PreambleLen: 8,
-		SyncWord: 0x34, ExplicitHeader: true, CRC: true, OSR: 2}},
+		SyncWord: 0x34, CRC: true, OSR: 2}},
 }
 
 func goldenPath(name string) string {

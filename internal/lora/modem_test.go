@@ -56,7 +56,7 @@ func TestModulateConstantEnvelope(t *testing.T) {
 func TestLoopbackCleanChannel(t *testing.T) {
 	for _, sf := range []int{7, 8, 12} {
 		p := Params{SF: sf, BW: 125e3, CR: CR45, PreambleLen: 10, SyncWord: 0x12,
-			ExplicitHeader: true, CRC: true, OSR: 1}
+			CRC: true, OSR: 1}
 		m, d := mustModem(t, p)
 		payload := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0x42}
 		sig, err := m.Modulate(payload)
@@ -108,7 +108,7 @@ func TestLoopbackAllSampleOffsets(t *testing.T) {
 	// The sync must work for any chip offset of the packet within the
 	// buffer, not just lucky alignments.
 	p := Params{SF: 7, BW: 125e3, CR: CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1}
+		CRC: true, OSR: 1}
 	m, d := mustModem(t, p)
 	payload := []byte{7, 7, 7}
 	sig, _ := m.Modulate(payload)
@@ -130,7 +130,7 @@ func TestLoopbackAllSampleOffsets(t *testing.T) {
 func TestLoopbackOSR2WithFIR(t *testing.T) {
 	// The oversampled path exercises the 14-tap FIR front end.
 	p := Params{SF: 8, BW: 125e3, CR: CR46, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 2}
+		CRC: true, OSR: 2}
 	m, d := mustModem(t, p)
 	payload := []byte{9, 8, 7, 6}
 	sig, _ := m.Modulate(payload)
@@ -144,19 +144,6 @@ func TestLoopbackOSR2WithFIR(t *testing.T) {
 	}
 	if !bytes.Equal(pkt.Payload, payload) || !pkt.CRCOK {
 		t.Fatal("OSR2 decode failed")
-	}
-}
-
-func TestReceiveRejectsImplicitHeader(t *testing.T) {
-	p := Params{SF: 8, BW: 250e3, CR: CR47, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: false, CRC: true, OSR: 1}
-	m, d := mustModem(t, p)
-	sig, err := m.Modulate([]byte{0xCA, 0xFE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Receive(sig); err == nil {
-		t.Error("explicit Receive accepted implicit config")
 	}
 }
 

@@ -43,7 +43,9 @@ var validBWs = map[float64]bool{
 
 // Params configures one LoRa PHY instance.
 type Params struct {
-	// SF is the spreading factor, 6..12: bits per chirp symbol.
+	// SF is the spreading factor, 7..12: bits per chirp symbol. (SF6
+	// needs the implicit header; every packet here carries the explicit
+	// one.)
 	SF int
 	// BW is the chirp bandwidth in Hz.
 	BW float64
@@ -54,8 +56,6 @@ type Params struct {
 	PreambleLen int
 	// SyncWord selects the two sync symbols following the preamble.
 	SyncWord byte
-	// ExplicitHeader includes the PHY header (length, CR, CRC flag).
-	ExplicitHeader bool
 	// CRC appends a 16-bit payload CRC.
 	CRC bool
 	// LowDataRateOptimize encodes payload blocks at SF-2 bits per symbol,
@@ -73,15 +73,18 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		SF: 8, BW: 125e3, CR: CR45, PreambleLen: 10, SyncWord: 0x12,
-		ExplicitHeader: true, CRC: true, OSR: 1,
+		CRC: true, OSR: 1,
 	}
 }
 
 // Validate checks the configuration against protocol and implementation
 // limits.
 func (p Params) Validate() error {
-	if p.SF < 6 || p.SF > 12 {
-		return fmt.Errorf("lora: SF%d outside 6..12", p.SF)
+	if p.SF == 6 {
+		return fmt.Errorf("lora: SF6 needs the implicit header, and every packet carries the explicit one")
+	}
+	if p.SF < 7 || p.SF > 12 {
+		return fmt.Errorf("lora: SF%d outside 7..12", p.SF)
 	}
 	if !validBWs[p.BW] {
 		return fmt.Errorf("lora: bandwidth %v Hz not a LoRa bandwidth", p.BW)
@@ -94,9 +97,6 @@ func (p Params) Validate() error {
 	}
 	if p.OSR < 1 || !dsp.IsPowerOfTwo(p.OSR) {
 		return fmt.Errorf("lora: OSR %d must be a power of two", p.OSR)
-	}
-	if p.SF == 6 && p.ExplicitHeader {
-		return fmt.Errorf("lora: SF6 supports implicit header only")
 	}
 	return nil
 }
@@ -120,15 +120,11 @@ func (p Params) payloadSymbols(n int) int {
 	if p.LowDataRateOptimize {
 		de = 1
 	}
-	ih := 0
-	if !p.ExplicitHeader {
-		ih = 1
-	}
 	crc := 0
 	if p.CRC {
 		crc = 1
 	}
-	num := 8*n - 4*p.SF + 28 + 16*crc - 20*ih
+	num := 8*n - 4*p.SF + 28 + 16*crc
 	den := 4 * (p.SF - 2*de)
 	extra := 0
 	if num > 0 {

@@ -2,7 +2,6 @@ package lora
 
 import (
 	"errors"
-	"time"
 
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/iq"
@@ -23,13 +22,8 @@ type Modem struct {
 }
 
 // NewModem returns a LoRa modem for the parameters, calibrated against the
-// given receive chain. The packet pipeline carries the payload length in
-// the explicit header, so implicit-header configurations are rejected here
-// rather than failing on every received packet.
+// given receive chain.
 func NewModem(p Params, profile channel.RadioProfile) (*Modem, error) {
-	if !p.ExplicitHeader {
-		return nil, errors.New("lora: modem requires explicit header (implicit RX needs an out-of-band length)")
-	}
 	mod, err := NewModulator(p)
 	if err != nil {
 		return nil, err
@@ -46,12 +40,6 @@ func (m *Modem) Name() string { return "lora" }
 
 // SampleRate implements phy.Modem.
 func (m *Modem) SampleRate() float64 { return m.mod.Params().SampleRate() }
-
-// Airtime implements phy.Modem: the on-air duration of a packet with an
-// n-byte payload.
-func (m *Modem) Airtime(payloadBytes int) time.Duration {
-	return m.mod.Params().TimeOnAir(payloadBytes)
-}
 
 // Radio implements phy.Modem.
 func (m *Modem) Radio() channel.RadioProfile { return m.profile }

@@ -27,11 +27,11 @@ type BroadcastTarget struct {
 // each node's repair phase, and reprograms concurrently at the end.
 type BroadcastSession struct {
 	Targets []BroadcastTarget
-	// PHY is the backbone configuration. It is fixed for the session's
-	// life: ProgramFleet caches each target's packet error rates on that
-	// premise, and nothing assigns PHY after NewBroadcastSession.
-	PHY lora.Params
 
+	// phy is the backbone configuration, BackboneParams. It is fixed for
+	// the session's life: ProgramFleet caches each target's packet error
+	// rates on that premise.
+	phy  lora.Params
 	loss lossModel
 }
 
@@ -39,7 +39,7 @@ type BroadcastSession struct {
 func NewBroadcastSession(targets []BroadcastTarget, seed int64) *BroadcastSession {
 	return &BroadcastSession{
 		Targets: targets,
-		PHY:     BackboneParams(),
+		phy:     BackboneParams(),
 		loss:    newLossModel(seed),
 	}
 }

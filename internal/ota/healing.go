@@ -125,11 +125,11 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 	if err != nil {
 		return nil, err
 	}
-	chunkTime := s.PHY.TimeOnAir(DataPacketSize) + apProcessing
-	reqTime := s.PHY.TimeOnAir(reqPayloadLen) + apProcessing +
-		radio.RXToTXTime + nodeProcessing + s.PHY.TimeOnAir(ackPayloadLen)
-	pollTime := s.PHY.TimeOnAir(ackPayloadLen) + apProcessing +
-		radio.RXToTXTime + nodeProcessing + s.PHY.TimeOnAir(nackPayloadLen)
+	chunkTime := s.phy.TimeOnAir(DataPacketSize) + apProcessing
+	reqTime := s.phy.TimeOnAir(reqPayloadLen) + apProcessing +
+		radio.RXToTXTime + nodeProcessing + s.phy.TimeOnAir(ackPayloadLen)
+	pollTime := s.phy.TimeOnAir(ackPayloadLen) + apProcessing +
+		radio.RXToTXTime + nodeProcessing + s.phy.TimeOnAir(nackPayloadLen)
 
 	// frame is the campaign-global on-air frame index every fault draw is
 	// keyed on; it advances once per transmission whether or not anyone
@@ -160,7 +160,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		if plan != nil && (plan.Asleep(t.Node.ID, frame) || plan.Desynced(t.Node.ID, frame)) {
 			return false
 		}
-		return !s.loss.lost(&s.PHY, &links[i], payloadLen)
+		return !s.loss.lost(&s.phy, &links[i], payloadLen)
 	}
 	// apUp rolls the AP outage window for the current frame; during an
 	// outage nothing is transmitted (no air bytes) but time still passes.
@@ -195,7 +195,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		}
 		// The ready reply shares the frame's fate drawn above except for
 		// its own uplink loss.
-		if s.loss.lost(&s.PHY, &links[i], ackPayloadLen) {
+		if s.loss.lost(&s.phy, &links[i], ackPayloadLen) {
 			// The node is announced but the AP does not know yet; the
 			// next poll discovers it. Conservatively count it announced —
 			// the node is in the transfer and will collect broadcast data.
@@ -253,7 +253,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			if rep.PerNode[i].Err != nil || !nodes[i].announced {
 				// Unannounced nodes are not in update mode; their loss
 				// draw is still consumed so the stream stays aligned.
-				_ = s.loss.lost(&s.PHY, &links[i], len(chunk)+frameOverhead)
+				_ = s.loss.lost(&s.phy, &links[i], len(chunk)+frameOverhead)
 				continue
 			}
 			if hears(i, len(chunk)+frameOverhead) {
@@ -316,7 +316,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 			rep.RepairPackets++
 			rep.PerNode[i].Repairs++
 			s.advanceAll(pollTime)
-			polled := apUp() && hears(i, ackPayloadLen) && !s.loss.lost(&s.PHY, &links[i], nackPayloadLen)
+			polled := apUp() && hears(i, ackPayloadLen) && !s.loss.lost(&s.phy, &links[i], nackPayloadLen)
 			if rep.PerNode[i].Err != nil {
 				continue
 			}
@@ -388,7 +388,7 @@ func (s *BroadcastSession) ProgramFleet(u *Update, design *fpga.Design, hc HealC
 		}
 	}
 	frame++
-	s.advanceAll(s.PHY.TimeOnAir(ackPayloadLen) + apProcessing)
+	s.advanceAll(s.phy.TimeOnAir(ackPayloadLen) + apProcessing)
 	for i, t := range s.Targets {
 		if rep.PerNode[i].Err == nil {
 			stats, err := t.Node.Finish(design)

@@ -219,15 +219,21 @@ func TestUpdateMCUFirmware(t *testing.T) {
 	}
 }
 
+// TestBackboneParamsValid checks the §5.3 configuration every session
+// transmits with; sessions do not validate it themselves.
+func TestBackboneParamsValid(t *testing.T) {
+	if err := BackboneParams().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUpdateSurvivesLossyLink(t *testing.T) {
 	// Near sensitivity the link drops packets; the ARQ must still deliver
 	// a byte-exact image, just more slowly.
 	node, _ := testNode(t, 5)
 	img := fpga.SynthMCUFirmware(16*1024, 4)
 	u, _ := BuildUpdate(TargetMCU, img)
-	sens := BackboneParams()
 	rssi := -112.0 // ≈ sensitivity for SF8/BW500 with NF 7 is -120; margin 8
-	_ = sens
 	sess := NewSession(node, rssi, 5)
 	rep, err := sess.Program(u, nil)
 	if err != nil {
@@ -262,7 +268,6 @@ func TestUpdateFailsWhenOutOfRange(t *testing.T) {
 	img := fpga.SynthMCUFirmware(4*1024, 8)
 	u, _ := BuildUpdate(TargetMCU, img)
 	sess := NewSession(node, -140, 9) // far below sensitivity
-	sess.MaxRetries = 10
 	if _, err := sess.Program(u, nil); err == nil {
 		t.Error("unreachable node programmed successfully")
 	}

@@ -16,7 +16,7 @@ import (
 func BackboneParams() lora.Params {
 	return lora.Params{
 		SF: 8, BW: 500e3, CR: lora.CR46, PreambleLen: 8, SyncWord: 0x34,
-		ExplicitHeader: true, CRC: true, OSR: 1,
+		CRC: true, OSR: 1,
 	}
 }
 
@@ -28,14 +28,11 @@ type Session struct {
 	// RSSIdBm is the received power at the node (and, symmetrically, at
 	// the AP for ACKs — both ends transmit at 14 dBm in §5.3).
 	RSSIdBm float64
-	// PHY is the backbone configuration. It is fixed for the session's
-	// life: the session's loss table caches packet error rates on that
-	// premise, and nothing assigns PHY after NewSession.
-	PHY lora.Params
-	// MaxRetries bounds per-packet retransmissions before the session
-	// fails (the AP gives up on unreachable nodes).
-	MaxRetries int
 
+	// phy is the backbone configuration, BackboneParams. It is fixed for
+	// the session's life: the session's loss table caches packet error
+	// rates on that premise.
+	phy  lora.Params
 	loss lossModel
 	// link caches the packet error rates at RSSIdBm; lost rebuilds it when
 	// RSSIdBm changes.
@@ -45,13 +42,16 @@ type Session struct {
 // NewSession returns a session for one node at the given link RSSI.
 func NewSession(node *Node, rssiDBm float64, seed int64) *Session {
 	return &Session{
-		Node:       node,
-		RSSIdBm:    rssiDBm,
-		PHY:        BackboneParams(),
-		MaxRetries: 50,
-		loss:       newLossModel(seed),
+		Node:    node,
+		RSSIdBm: rssiDBm,
+		phy:     BackboneParams(),
+		loss:    newLossModel(seed),
 	}
 }
+
+// maxRetries bounds per-packet retransmissions before a session fails
+// (the AP gives up on unreachable nodes).
+const maxRetries = 50
 
 // Report summarizes one programming session for the Fig. 14 analysis.
 type Report struct {
@@ -119,11 +119,11 @@ func (s *Session) lost(frameLen int) bool {
 		s.link = new(lossTable)
 		s.link.init(s.RSSIdBm)
 	}
-	return s.loss.lost(&s.PHY, s.link, frameLen)
+	return s.loss.lost(&s.phy, s.link, frameLen)
 }
 
 // airTime is the on-air duration of a backbone packet with n payload bytes.
-func (s *Session) airTime(n int) time.Duration { return s.PHY.TimeOnAir(n) }
+func (s *Session) airTime(n int) time.Duration { return s.phy.TimeOnAir(n) }
 
 // exchange transmits one frame and waits for the expected reply, with
 // retransmission on data or reply loss. It advances the node clock through
@@ -136,7 +136,7 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 	}
 	retries := 0
 	for {
-		if retries > s.MaxRetries {
+		if retries > maxRetries {
 			return nil, retries, fmt.Errorf("ota: device %d unreachable after %d retries (%v at %.1f dBm)",
 				f.Device, retries, f.Type, s.RSSIdBm)
 		}
@@ -171,9 +171,6 @@ func (s *Session) exchange(f *Frame, handle func(*Frame) (*Frame, error), replyL
 // returns the session report. design accompanies FPGA updates for the
 // resource model (see Node.Finish).
 func (s *Session) Program(u *Update, design *fpga.Design) (*Report, error) {
-	if err := s.PHY.Validate(); err != nil {
-		return nil, err
-	}
 	node := s.Node
 	start := node.Clock.Now()
 	rep := &Report{}

@@ -13,8 +13,6 @@
 package phy
 
 import (
-	"time"
-
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/iq"
 )
@@ -34,9 +32,6 @@ type Modem interface {
 	// SampleRate is the baseband rate of Modulate/Demodulate waveforms in
 	// Hz.
 	SampleRate() float64
-	// Airtime returns the on-air duration of a packet carrying an n-byte
-	// payload.
-	Airtime(payloadBytes int) time.Duration
 	// Radio is the receive-chain profile the modem is calibrated against;
 	// SensitivityDBm and NoiseFloorDBm both derive from it.
 	Radio() channel.RadioProfile

@@ -274,6 +274,11 @@ func Replay(t *Trace, workers int) (phy.Stats, error) {
 	if err != nil {
 		return phy.Stats{}, err
 	}
+	return aggregate(results), nil
+}
+
+// aggregate computes the Stats of per-packet results, in packet order.
+func aggregate(results []packetResult) phy.Stats {
 	st := phy.Stats{Packets: len(results)}
 	var mw float64
 	for _, r := range results {
@@ -284,7 +289,7 @@ func Replay(t *Trace, workers int) (phy.Stats, error) {
 	}
 	st.PER = float64(st.Failures) / float64(st.Packets)
 	st.RSSIdBm = iq.MilliwattsToDBm(mw / float64(st.Packets))
-	return st, nil
+	return st
 }
 
 // Verify replays the trace and diffs the result against the recorded
@@ -297,24 +302,18 @@ func Verify(t *Trace, workers int) error {
 	if err != nil {
 		return err
 	}
-	failures := 0
-	var mw float64
 	for k, r := range results {
 		if r.lost != t.Manifest.Failed[k] {
 			return fmt.Errorf("trace: packet %d replayed lost=%v, recorded lost=%v", k, r.lost, t.Manifest.Failed[k])
 		}
-		if r.lost {
-			failures++
-		}
-		mw += r.mw
 	}
-	if failures != t.Manifest.Failures {
-		return fmt.Errorf("trace: replay counted %d failures, recorded %d", failures, t.Manifest.Failures)
+	st := aggregate(results)
+	if st.Failures != t.Manifest.Failures {
+		return fmt.Errorf("trace: replay counted %d failures, recorded %d", st.Failures, t.Manifest.Failures)
 	}
-	got := iq.MilliwattsToDBm(mw / float64(len(results)))
-	if math.Float64bits(got) != math.Float64bits(t.Manifest.RSSIdBm) {
+	if math.Float64bits(st.RSSIdBm) != math.Float64bits(t.Manifest.RSSIdBm) {
 		return fmt.Errorf("trace: replay RSSI %v (%016x), recorded %v (%016x)",
-			got, math.Float64bits(got), t.Manifest.RSSIdBm, math.Float64bits(t.Manifest.RSSIdBm))
+			st.RSSIdBm, math.Float64bits(st.RSSIdBm), t.Manifest.RSSIdBm, math.Float64bits(t.Manifest.RSSIdBm))
 	}
 	return nil
 }

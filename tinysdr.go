@@ -289,7 +289,7 @@ func New(cfg Config) *Device { return core.New(cfg) }
 type Samples = iq.Samples
 
 // LoRaParams configures the LoRa PHY (spreading factor, bandwidth, coding
-// rate, preamble, header/CRC options).
+// rate, preamble, CRC option). Every packet carries the explicit header.
 type LoRaParams = lora.Params
 
 // LoRaPacket is a received LoRa frame.
