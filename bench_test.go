@@ -13,7 +13,6 @@ import (
 	"github.com/uwsdr/tinysdr/internal/eval"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/lora"
-	"github.com/uwsdr/tinysdr/internal/phy"
 )
 
 func benchExperiment(b *testing.B, id string, metrics ...string) {
@@ -211,20 +210,14 @@ func BenchmarkMobilitySweep(b *testing.B) {
 
 // BenchmarkScenarioSymbolDemod pins the composed-scenario hot path: one
 // per-trial Reset plus ApplyInto of a full fading + CFO + interferer +
-// noise chain and the aligned symbol demod, all in steady-state scratch —
-// driven through the protocol-agnostic Modem interface (the
-// phy.SymbolStreamer capability), not the concrete demodulator. The
-// contract is 0 allocs/op — neither the scenario engine nor interface
-// dispatch may give back what PR 1's zero-allocation DSP path bought.
+// noise chain and the aligned symbol demod, all in steady-state scratch.
+// The contract is 0 allocs/op — the scenario engine may not give back
+// what PR 1's zero-allocation DSP path bought.
 func BenchmarkScenarioSymbolDemod(b *testing.B) {
 	p := lora.DefaultParams()
-	m, err := NewModem("lora")
+	demod, err := lora.NewDemodulator(p)
 	if err != nil {
 		b.Fatal(err)
-	}
-	demod, ok := m.(phy.SymbolStreamer)
-	if !ok {
-		b.Fatal("lora modem does not expose the aligned-symbol hot path")
 	}
 	mod, err := lora.NewModulator(p)
 	if err != nil {

@@ -66,7 +66,7 @@ func main() {
 		"composed channel scenario for the 'scenario' experiment, e.g. "+
 			"\"fading=rician:10,cfo=200,drift=20,interferer=lora:-110\" "+
 			"(terms: fading=rayleigh[:taps]|rician:KdB[:taps], cfo/cfojitter=Hz, "+
-			"drift=ppm, interferer=PHY:dBm[:freqHz] for any registered PHY, speed=m/s)")
+			"drift=ppm, interferer=PHY:dBm[:freqHz] for any registered PHY, dropout=P[:depthDB])")
 	faults := flag.String("faults", "",
 		"base fault spec for the 'chaos' experiment, e.g. "+
 			"\"crash=0.001,flashfail=0.01,desync=0.05:4\" "+

@@ -379,6 +379,16 @@ func (c *CFO) ApplyInto(dst, sig iq.Samples) iq.Samples {
 	return dst
 }
 
+// SpeedOfLight converts a radial speed to a Doppler shift.
+const SpeedOfLight = 299792458.0
+
+// DopplerHz returns the carrier shift for a radial speed (positive speed =
+// receding = negative shift): the offset a CFO stage applies for an
+// endpoint moving along a Mobility trajectory.
+func DopplerHz(speedMPS, carrierHz float64) float64 {
+	return -speedMPS / SpeedOfLight * carrierHz
+}
+
 // Mobility varies the link gain over the record as the endpoint moves along
 // a radial trajectory through a log-distance field — path loss is re-solved
 // block by block from the instantaneous distance, so a packet long enough

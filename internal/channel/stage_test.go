@@ -178,6 +178,12 @@ func TestCFODriftStretchesTimebase(t *testing.T) {
 	}
 }
 
+func TestDopplerSign(t *testing.T) {
+	if d := DopplerHz(30, 915e6); d >= 0 || math.Abs(d+91.6) > 1 {
+		t.Errorf("doppler at 30 m/s receding = %v Hz, want ≈-91.6", d)
+	}
+}
+
 func TestMobilityRampsPowerAcrossRecord(t *testing.T) {
 	m := NewMobility(LogDistance{FreqHz: 915e6, Exponent: 2.9}, 14, 6, 0, 500, 4000, 125e3)
 	m.Reset(1)

@@ -11,6 +11,7 @@ import (
 	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/mcu"
+	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/power"
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
@@ -57,7 +58,7 @@ func Fig12(cfg Config) (*Result, error) {
 		one   []int // single-bit demod scratch
 	}
 	rssis := sweep(-102, -84, 2)
-	bers, err := runTrials(cfg.Workers, len(rssis),
+	bers, err := par.Trials(cfg.Workers, len(rssis),
 		func() (*berState, error) {
 			demod, err := ble.NewDemodulator(bleSPS)
 			if err != nil {

@@ -53,7 +53,7 @@ func Chaos(cfg Config) (*Result, error) {
 			Nodes:     nodes,
 			ShardSize: 20,
 			Mode:      fleet.ModeBroadcast,
-			Workers:   resolveWorkers(cfg.Workers),
+			Workers:   cfg.Workers,
 			Quorum:    ChaosQuorum,
 			// One fixed budget for every point, 0x included, caps how
 			// hard the repair loop fights for a dying node.

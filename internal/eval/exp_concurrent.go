@@ -8,6 +8,7 @@ import (
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/lora"
 	"github.com/uwsdr/tinysdr/internal/lora/concurrent"
+	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
@@ -93,7 +94,7 @@ func Fig15a(cfg Config) (*Result, error) {
 	// controls, each with its own (seed, point) substream.
 	type point struct{ ser1, ser2, solo1, solo2 float64 }
 	margins := sweep(-8, 10, 1.75)
-	pts, err := forTrials(cfg.Workers, len(margins), func(i int) (point, error) {
+	pts, err := par.Do(cfg.Workers, len(margins), func(i int) (point, error) {
 		m := margins[i]
 		rssi := sens125 + m
 		ser1, ser2, err := concurrentSER(symbols, rssi, rssi, cfg.Seed+int64(m*100))
@@ -159,7 +160,7 @@ func Fig15b(cfg Config) (*Result, error) {
 	x := sweep(-130, -104, 3)
 	// One seed for every point: all points share symbols and noise, so the
 	// interferer power is the only thing the sweep varies.
-	sers, err := forTrials(cfg.Workers, len(x), func(i int) (float64, error) {
+	sers, err := par.Do(cfg.Workers, len(x), func(i int) (float64, error) {
 		ser1, _, err := concurrentSER(symbols, weak, x[i], cfg.Seed)
 		return ser1, err
 	})

@@ -23,7 +23,7 @@ func FleetScale(cfg Config) (*Result, error) {
 			Nodes:     n,
 			ShardSize: n,
 			Mode:      mode,
-			Workers:   resolveWorkers(cfg.Workers),
+			Workers:   cfg.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -36,7 +36,7 @@ func FleetCrash(cfg Config) (*Result, error) {
 		Nodes:     80,
 		ShardSize: 20,
 		Mode:      fleet.ModeBroadcast,
-		Workers:   resolveWorkers(cfg.Workers),
+		Workers:   cfg.Workers,
 	}
 	if cfg.Quick {
 		spec.Nodes = 40

@@ -9,6 +9,7 @@ import (
 	"github.com/uwsdr/tinysdr/internal/fpga"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/lora"
+	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
@@ -45,7 +46,7 @@ func measurePER(p lora.Params, rssis []float64, packets int, seed int64, workers
 		demod *lora.Demodulator
 		rx    iq.Samples
 	}
-	return runTrials(workers, len(rssis),
+	return par.Trials(workers, len(rssis),
 		func() (*perState, error) {
 			demod, err := lora.NewDemodulator(rxParams)
 			if err != nil {
@@ -161,7 +162,7 @@ func Fig11(cfg Config) (*Result, error) {
 			one   []int // single-window demod scratch
 		}
 		symLen := len(sig) / symbols
-		sers, err := runTrials(cfg.Workers, len(margins),
+		sers, err := par.Trials(cfg.Workers, len(margins),
 			func() (*serState, error) {
 				demod, err := lora.NewDemodulator(fig10Params(bw, false))
 				if err != nil {

@@ -82,7 +82,7 @@ func Fig14(cfg Config) (*Result, error) {
 		}
 		// Fleet programming fans out across nodes; per-node clocks and
 		// RNG substreams keep the CDF identical for any worker count.
-		results := campus.ProgramAllWorkers(u, job.design, resolveWorkers(cfg.Workers))
+		results := campus.ProgramAllWorkers(u, job.design, cfg.Workers)
 		failed := 0
 		for _, r := range results {
 			if r.Err != nil {

@@ -16,6 +16,7 @@ import (
 	"github.com/uwsdr/tinysdr/internal/channel"
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/lora"
+	"github.com/uwsdr/tinysdr/internal/par"
 	"github.com/uwsdr/tinysdr/internal/phy"
 	"github.com/uwsdr/tinysdr/internal/radio"
 	"github.com/uwsdr/tinysdr/internal/sim/scenario"
@@ -172,7 +173,7 @@ func Coexistence(cfg Config) (*Result, error) {
 	for _, kind := range kinds {
 		wave := waves[kind]
 		kind := kind
-		pers, err := runTrials(cfg.Workers, len(powers), newCoexState,
+		pers, err := par.Trials(cfg.Workers, len(powers), newCoexState,
 			func(s *linkState, i int) (float64, error) {
 				sc := buildScenario(wave, kind, powers[i], 0)
 				return s.linkPER(sc, TrialSeed(kindSeed(cfg.Seed, kind), i), packets, cfg.Adaptive)
@@ -197,7 +198,7 @@ func Coexistence(cfg Config) (*Result, error) {
 	// keeps the sweep's relative geometry stable across radio profiles.
 	offsets := sweep(0, 75e3, 12.5e3)
 	offPower := rssi + 8
-	offPers, err := runTrials(cfg.Workers, len(offsets), newCoexState,
+	offPers, err := par.Trials(cfg.Workers, len(offsets), newCoexState,
 		func(s *linkState, i int) (float64, error) {
 			sc := buildScenario(waves["lora"], "lora", offPower, offsets[i])
 			return s.linkPER(sc, TrialSeed(cfg.Seed+977, i), packets, cfg.Adaptive)
@@ -264,7 +265,7 @@ func Mobility(cfg Config) (*Result, error) {
 	node := campus.Nodes[len(campus.Nodes)/2]
 
 	speeds := sweep(0, 160, 16)
-	pers, err := runTrials(cfg.Workers, len(speeds), newLinkState("lora"),
+	pers, err := par.Trials(cfg.Workers, len(speeds), newLinkState("lora"),
 		func(s *linkState, i int) (float64, error) {
 			sc := campus.LinkScenario(node, speeds[i], s.modem.SampleRate(), floor)
 			return s.linkPER(sc, TrialSeed(cfg.Seed+1543, i), packets, cfg.Adaptive)
@@ -280,9 +281,9 @@ func Mobility(cfg Config) (*Result, error) {
 	metrics := map[string]float64{
 		"mob_per_static":   pers[0],
 		"mob_knee_mps":     kneeAt(speeds, pers, 0.5),
-		"mob_halfbin_mps":  binHz / 2 * scenario.SpeedOfLight / campus.Model.FreqHz,
+		"mob_halfbin_mps":  binHz / 2 * channel.SpeedOfLight / campus.Model.FreqHz,
 		"mob_node_dist_m":  node.Distance(),
-		"mob_doppler_knee": scenario.DopplerHz(kneeAt(speeds, pers, 0.5), campus.Model.FreqHz),
+		"mob_doppler_knee": channel.DopplerHz(kneeAt(speeds, pers, 0.5), campus.Model.FreqHz),
 	}
 	text := RenderXY("Mobility: PER vs radial speed on the campus downlink (mobility→cfo→noise)",
 		"speed (m/s)", "PER (%)", series, 64, 14)
@@ -309,12 +310,6 @@ func ScenarioPER(cfg Config) (*Result, error) {
 	spec, err := scenario.Parse(specStr)
 	if err != nil {
 		return nil, err
-	}
-	if spec.SpeedMPS != 0 || spec.Mobile {
-		// A Mobility stage replaces the Gain stage and pins the link
-		// budget to the trajectory, so an RSSI sweep would silently
-		// flatten — moving endpoints are the "mobility" experiment's job.
-		return nil, fmt.Errorf("eval: -scenario speed/mobile terms are incompatible with the RSSI sweep; use -run mobility")
 	}
 	name := victimPHY(cfg)
 	probe, err := phy.New(name)
@@ -347,7 +342,7 @@ func ScenarioPER(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		pers, err := runTrials(cfg.Workers, len(rssis), newLinkState(name),
+		pers, err := par.Trials(cfg.Workers, len(rssis), newLinkState(name),
 			func(s *linkState, i int) (float64, error) {
 				sc, err := cs.Build(scenario.Link{
 					SampleRate: rate, RSSIdBm: rssis[i], FloorDBm: floor,

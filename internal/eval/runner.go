@@ -4,12 +4,12 @@ import (
 	"github.com/uwsdr/tinysdr/internal/par"
 )
 
-// This file adapts the generic worker pool in internal/par to the
-// experiment harness. Every sweep in the evaluation (PER vs RSSI, SER
-// sweeps, campus node runs) is a set of independent trials whose
-// randomness derives only from the configured seed and the trial's index —
-// never from execution order — so fanning the trials across workers
-// produces bit-identical Result.Metrics for any worker count.
+// Every sweep in the evaluation (PER vs RSSI, SER sweeps, campus node
+// runs) is a set of independent trials whose randomness derives only from
+// the configured seed and the trial's index — never from execution order —
+// so fanning the trials across internal/par's worker pool (par.Trials,
+// par.Do, sized by Config.Workers) produces bit-identical Result.Metrics
+// for any worker count.
 //
 // The ported experiments keep their historical per-point seed formulas
 // (e.g. seed+i*1000) so their curves stay seed-identical with the
@@ -20,24 +20,6 @@ import (
 // sweep, splitting (seed, trialIndex) through SplitMix64.
 func TrialSeed(seed int64, trial int) int64 {
 	return par.SplitSeed(seed, int64(trial))
-}
-
-// resolveWorkers maps a Config.Workers value to a concrete pool size.
-func resolveWorkers(workers int) int {
-	return par.ResolveWorkers(workers)
-}
-
-// runTrials executes fn for trials 0..n-1 across the configured worker
-// pool, giving each worker private state (demodulators and their scratch
-// arenas are single-goroutine objects). See internal/par for the
-// determinism contract.
-func runTrials[S, R any](workers, n int, newState func() (S, error), fn func(state S, trial int) (R, error)) ([]R, error) {
-	return par.Trials(resolveWorkers(workers), n, newState, fn)
-}
-
-// forTrials is runTrials for stateless trial bodies.
-func forTrials[R any](workers, n int, fn func(trial int) (R, error)) ([]R, error) {
-	return par.Do(resolveWorkers(workers), n, fn)
 }
 
 // sweep enumerates the grid points of a linear parameter sweep

@@ -1,54 +1,12 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"testing"
 
 	"github.com/uwsdr/tinysdr/internal/par"
 )
-
-func TestRunTrialsOrderAndStateIsolation(t *testing.T) {
-	type state struct{ calls int }
-	results, err := runTrials(8, 100,
-		func() (*state, error) { return &state{}, nil },
-		func(s *state, trial int) (int, error) {
-			s.calls++
-			return trial * trial, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r != i*i {
-			t.Fatalf("results[%d] = %d, want %d", i, r, i*i)
-		}
-	}
-}
-
-func TestRunTrialsLowestIndexError(t *testing.T) {
-	for _, workers := range []int{1, 4, 8} {
-		_, err := forTrials(workers, 50, func(trial int) (int, error) {
-			if trial%7 == 3 { // fails at 3, 10, 17, ...
-				return 0, fmt.Errorf("trial %d failed", trial)
-			}
-			return trial, nil
-		})
-		if err == nil || err.Error() != "trial 3 failed" {
-			t.Fatalf("workers=%d: err = %v, want lowest-index trial 3", workers, err)
-		}
-	}
-}
-
-func TestRunTrialsZero(t *testing.T) {
-	results, err := forTrials[int](4, 0, func(int) (int, error) {
-		return 0, errors.New("must not run")
-	})
-	if err != nil || len(results) != 0 {
-		t.Fatalf("got %v, %v", results, err)
-	}
-}
 
 func TestSplitSeedDecorrelates(t *testing.T) {
 	seen := map[int64]bool{}

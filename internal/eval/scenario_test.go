@@ -98,9 +98,9 @@ func TestScenarioExperimentRejectsBadSpec(t *testing.T) {
 	if _, err := e.Run(cfg); err == nil {
 		t.Error("bad -scenario spec accepted")
 	}
-	// Mobility terms pin the link budget to a trajectory, which would
-	// silently flatten an RSSI sweep — they must be rejected here and
-	// routed to the mobility experiment instead.
+	// The grammar has no moving-link term: a moving endpoint would pin
+	// the link budget to a trajectory and silently flatten the RSSI
+	// sweep, so moving links are the mobility experiment's job.
 	cfg.Scenario = "speed=30"
 	if _, err := e.Run(cfg); err == nil {
 		t.Error("speed= spec accepted by the RSSI sweep")

@@ -303,9 +303,9 @@ func RunResumable(ctx context.Context, spec Spec, done map[int]ShardResult, onSh
 		// of pool sizing either way (see internal/par).
 		innerWorkers := 1
 		if shards == 1 {
-			innerWorkers = par.ResolveWorkers(spec.Workers)
+			innerWorkers = spec.Workers
 		}
-		outs, err := par.Do(par.ResolveWorkers(spec.Workers), len(missing), func(i int) (ShardResult, error) {
+		outs, err := par.Do(spec.Workers, len(missing), func(i int) (ShardResult, error) {
 			if err := ctx.Err(); err != nil {
 				return ShardResult{}, fmt.Errorf("fleet: campaign canceled: %w", err)
 			}

@@ -36,9 +36,8 @@ const modulePath = "github.com/uwsdr/tinysdr"
 
 // testReferences are the extra roots: declarations only tests use. Most
 // are reference implementations a test compares against (an image check
-// names one of the tests that use it); the analyzer fixture harness and
-// the symbol-demod capability are what the named tests drive. Each entry
-// names that test.
+// names one of the tests that use it); the analyzer fixture harness is
+// what the named tests drive. Each entry names that test.
 var testReferences = map[string]string{
 	modulePath + "/internal/dsp.Dechirp":    "TestDechirpTransformIntoMatchesUnfused",
 	modulePath + "/internal/dsp.FoldBins":   "TestFoldPeakIntoMatchesUnfused",
@@ -50,14 +49,12 @@ var testReferences = map[string]string{
 	modulePath + "/internal/iq.DecodeInt16":                 "TestDecodeInt16IntoMatchesDecode",
 	modulePath + "/internal/lzo.Decompress":                 "TestRoundTripRandomProperty",
 	modulePath + "/internal/lzo.DecompressBlocks":           "TestBlockPipeline30KB",
-	modulePath + "/internal/phy.SymbolStreamer":             "TestSymbolDemodZeroAllocsThroughModem",
 	modulePath + "/internal/lint/analysistest.Run":          "TestNoAllocIntoFixtures",
 	modulePath + "/internal/lint/analysistest.LoadFixtures": "TestWaiverMechanism",
 
-	modulePath + "/internal/ble.Demodulator.DemodBits":          "TestStreamBitsMatchesDemodBits",
-	modulePath + "/internal/eval.Adaptive.MinTrials":            "TestAdaptiveSaturatedStopsAtMinTrials",
-	modulePath + "/internal/lora.Modem.DemodAlignedSymbolsInto": "TestSymbolDemodZeroAllocsThroughModem",
-	modulePath + "/internal/ota.Node.VerifyImage":               "TestBroadcastDeliversExactImages",
+	modulePath + "/internal/ble.Demodulator.DemodBits": "TestStreamBitsMatchesDemodBits",
+	modulePath + "/internal/eval.Adaptive.MinTrials":   "TestAdaptiveSaturatedStopsAtMinTrials",
+	modulePath + "/internal/ota.Node.VerifyImage":      "TestBroadcastDeliversExactImages",
 }
 
 // declKey names a package-level declaration: "pkg.Name" or, for a method,

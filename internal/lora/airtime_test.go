@@ -77,16 +77,24 @@ func TestSymbolDurationAcrossConfigs(t *testing.T) {
 }
 
 func TestPHYRatesPaperRange(t *testing.T) {
-	// §4.1: "PHY-layer rates of BW/2^SF x SF", spanning ~11 bps to 37.5 kbps
-	// over the LoRa configuration space.
+	// §4.1: "PHY-layer rates of BW/2^SF x SF", spanning ~22.9 bps
+	// (SF12/BW7.8125k) to ~27.3 kbps (SF7/BW500) over the configurations
+	// Validate accepts.
 	slow := Params{SF: 12, BW: 7812.5, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1}
-	fast := Params{SF: 6, BW: 500e3, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1}
-	rate := func(p Params) float64 { return float64(p.SF) / symbolTime(p).Seconds() }
-	if r := rate(slow); r > 25 {
-		t.Errorf("slowest rate = %.1f bps, want tens of bps", r)
+	fast := Params{SF: 7, BW: 500e3, CR: CR45, PreambleLen: 8, SyncWord: 0x12, OSR: 1}
+	for _, p := range []Params{slow, fast} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("SF%d/BW%g: %v", p.SF, p.BW, err)
+		}
 	}
-	if r := rate(fast); math.Abs(r-46875) > 1 {
-		t.Errorf("fastest rate = %.0f bps, want 46875", r)
+	rate := func(p Params) float64 { return float64(p.SF) / symbolTime(p).Seconds() }
+	// symbolTime differences whole-nanosecond air times, hence the
+	// tolerances.
+	if r := rate(slow); math.Abs(r-22.888) > 0.01 {
+		t.Errorf("slowest rate = %.3f bps, want 22.888", r)
+	}
+	if r := rate(fast); math.Abs(r-27343.75) > 1 {
+		t.Errorf("fastest rate = %.2f bps, want 27343.75", r)
 	}
 }
 

@@ -80,11 +80,3 @@ func (m *Modem) DemodulateFrom(dst []byte, sig iq.Samples) ([]byte, error) {
 	//lint:allocok appends into caller capacity; steady state pinned by the AllocsPerRun contracts
 	return append(dst[:0], pkt.Payload...), nil
 }
-
-// DemodAlignedSymbolsInto exposes the aligned chirp-symbol hot path through
-// the modem (phy.SymbolStreamer): with a capacity-sized dst the loop is
-// allocation-free, preserving the 0 allocs/op sweep contract behind the
-// interface.
-func (m *Modem) DemodAlignedSymbolsInto(dst []int, sig iq.Samples) []int {
-	return m.demod.DemodAlignedSymbolsInto(dst, sig)
-}

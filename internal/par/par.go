@@ -15,8 +15,10 @@ import (
 )
 
 // ResolveWorkers maps a configured pool size to a concrete one: positive
-// values pass through, anything else means all CPUs. The shared convention
-// for eval.Config.Workers and fleet.Spec.Workers.
+// values pass through, anything else means all CPUs. Trials and Do apply
+// it themselves, so callers pass a configured size (eval.Config.Workers,
+// fleet.Spec.Workers) straight through; call it only to size something
+// else by the pool.
 func ResolveWorkers(workers int) int {
 	if workers > 0 {
 		return workers
@@ -37,22 +39,18 @@ func SplitSeed(seed, stream int64) int64 {
 }
 
 // Trials executes fn for trials 0..n-1 across a worker pool of the given
-// size (minimum 1, clamped to n). Each worker constructs its own state
-// with newState — single-goroutine objects like demodulator scratch
-// arenas get a private deterministic copy per worker. fn must depend only
-// on (state, trial). On failure the error of the lowest trial index is
-// returned and the results slice is nil.
+// size, clamped to n; workers ≤ 0 means all CPUs, as in ResolveWorkers.
+// Each worker constructs its own state with newState — single-goroutine
+// objects like demodulator scratch arenas get a private deterministic
+// copy per worker. fn must depend only on (state, trial). On failure the
+// error of the lowest trial index is returned and the results slice is
+// nil.
 func Trials[S, R any](workers, n int, newState func() (S, error), fn func(state S, trial int) (R, error)) ([]R, error) {
 	results := make([]R, n)
 	if n == 0 {
 		return results, nil
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(ResolveWorkers(workers), n)
 
 	var next atomic.Int64
 	var mu sync.Mutex

@@ -2,6 +2,8 @@ package par
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -58,5 +60,24 @@ func TestTrialsClampsWorkers(t *testing.T) {
 	}
 	if empty, err := Do(8, 0, func(int) (int, error) { return 0, fmt.Errorf("must not run") }); err != nil || len(empty) != 0 {
 		t.Fatalf("n=0: got %v, %v", empty, err)
+	}
+}
+
+// TestTrialsZeroWorkersMeansAllCPUs pins the one pool-size rule: workers
+// ≤ 0 runs min(NumCPU, n) workers, each with its own state.
+func TestTrialsZeroWorkersMeansAllCPUs(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("one CPU: all CPUs and one worker are the same pool")
+	}
+	const n = 64
+	var states atomic.Int64
+	_, err := Trials(0, n,
+		func() (int, error) { states.Add(1); return 0, nil },
+		func(int, int) (int, error) { return 0, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := states.Load(), int64(min(runtime.NumCPU(), n)); got != want {
+		t.Errorf("Trials(0, %d) built %d worker states, want %d", n, got, want)
 	}
 }

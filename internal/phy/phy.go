@@ -56,13 +56,3 @@ type Modem interface {
 	// error — the Link pipeline counts them as losses.
 	DemodulateFrom(dst []byte, sig iq.Samples) ([]byte, error)
 }
-
-// SymbolStreamer is an optional capability of modems with an aligned
-// symbol-stream hot path (the LoRa chirp-symbol experiments): with a
-// capacity-sized dst the demod loop performs zero heap allocations, so the
-// composed-scenario sweeps keep their 0 allocs/op contract through the
-// Modem interface.
-type SymbolStreamer interface {
-	Modem
-	DemodAlignedSymbolsInto(dst []int, sig iq.Samples) []int
-}

@@ -18,7 +18,7 @@ type SweepConfig struct {
 	Nodes, Ticks int
 	// Seed derives every measurement; same seed, same map bits.
 	Seed int64
-	// Workers sizes the pool (par.ResolveWorkers semantics). The result
+	// Workers sizes the pool; 0 means all CPUs (par.Trials). The result
 	// is byte-identical at any worker count.
 	Workers int
 	// ThresholdDBm is the occupancy decision threshold.

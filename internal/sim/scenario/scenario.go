@@ -1,10 +1,11 @@
-package scenario
-
-// Scenario wiring: this file turns a compact textual spec (the CLI's
-// -scenario flag) plus a link description into a composed channel.Scenario,
+// Package scenario turns a compact textual spec (the CLI's -scenario
+// flag) plus a static link description into a composed channel.Scenario,
 // running any registered PHY's live modulator (internal/phy) to synthesize
 // co-channel interference. It lives in sim rather than channel so the
-// channel engine stays free of protocol dependencies.
+// channel engine stays free of protocol dependencies. Every scenario it
+// builds starts at a fixed received power; a moving endpoint's link comes
+// from testbed.Campus.LinkScenario, the one builder of mobility stages.
+package scenario
 
 import (
 	"fmt"
@@ -17,15 +18,6 @@ import (
 	"github.com/uwsdr/tinysdr/internal/iq"
 	"github.com/uwsdr/tinysdr/internal/phy"
 )
-
-// SpeedOfLight is used to convert mobility speed to Doppler shift.
-const SpeedOfLight = 299792458.0
-
-// DopplerHz returns the carrier shift for a radial speed (positive speed =
-// receding = negative shift).
-func DopplerHz(speedMPS, carrierHz float64) float64 {
-	return -speedMPS / SpeedOfLight * carrierHz
-}
 
 // Resample converts sig from srcRate to dstRate by linear interpolation,
 // low-pass filtering first when decimating so out-of-band energy does not
@@ -89,23 +81,15 @@ func DefaultInterfererWaveform(kind string, dstRate float64) (iq.Samples, error)
 	return Resample(sig, m.SampleRate(), dstRate), nil
 }
 
-// Link describes the victim link a scenario is built for.
+// Link describes the static victim link a scenario is built for: its
+// rate, its received power and its noise floor.
 type Link struct {
 	// SampleRate is the victim receiver's baseband rate.
 	SampleRate float64
-	// RSSIdBm is the mean received signal power for static links.
+	// RSSIdBm is the mean received signal power, the Gain stage's target.
 	RSSIdBm float64
 	// FloorDBm is the integrated receiver noise floor.
 	FloorDBm float64
-	// CarrierHz converts mobility speed to Doppler (default 915 MHz).
-	CarrierHz float64
-	// PathModel, TxPowerDBm, TxGainDB and StartM describe the trajectory
-	// for mobile scenarios (SpeedMPS > 0 in the spec, or a moving
-	// endpoint with speed 0 standing still inside a shadowed field).
-	PathModel  channel.LogDistance
-	TxPowerDBm float64
-	TxGainDB   float64
-	StartM     float64
 	// InterfererWave, when non-nil, is a prebuilt interference waveform
 	// already at SampleRate; Build uses it instead of synthesizing
 	// DefaultInterfererWaveform, so sweeps can modulate and resample the
@@ -120,11 +104,9 @@ type Spec struct {
 	FadingKind string
 	// FadingKdB is the Rician K factor in dB.
 	FadingKdB float64
-	// FadingTaps / FadingSpacing / FadingDecayDB shape the delay profile;
-	// one tap means flat fading.
-	FadingTaps    int
-	FadingSpacing int
-	FadingDecayDB float64
+	// FadingTaps is the delay profile's tap count; one tap means flat
+	// fading.
+	FadingTaps int
 
 	// CFOHz, CFOJitterHz and DriftPPM configure the oscillator stage.
 	CFOHz       float64
@@ -142,14 +124,6 @@ type Spec struct {
 	// DropoutDepthDB its attenuation (0 means the stage default).
 	DropoutProb    float64
 	DropoutDepthDB float64
-
-	// SpeedMPS selects a mobile trajectory: Doppler on the CFO stage and
-	// per-packet path-loss ramping through Link.PathModel.
-	SpeedMPS float64
-
-	// Mobile forces the Mobility stage even at speed 0 (static endpoint
-	// in a shadowed log-distance field).
-	Mobile bool
 }
 
 // maxFadingTaps bounds a fading term's tap count, so a spec cannot ask
@@ -162,14 +136,13 @@ const maxFadingTaps = 64
 //	cfo=HZ  cfojitter=HZ  drift=PPM
 //	interferer=KIND:DBM[:FREQHZ]   (KIND: any registered PHY — phy.Names())
 //	dropout=PROB[:DEPTHDB]
-//	speed=MPS  mobile
 //
 // e.g. "fading=rician:10,cfo=200,drift=20,interferer=lora:-110". Every
 // number must be finite, a tap count an integer in [1, 64], and a
 // repeated term replaces the earlier one. The empty spec and "clean",
 // which is how String renders it, select no impairment.
 func Parse(s string) (*Spec, error) {
-	spec := &Spec{FadingTaps: 1, FadingSpacing: 1, FadingDecayDB: 6}
+	spec := &Spec{FadingTaps: 1}
 	if s = strings.TrimSpace(s); s == "" || s == "clean" {
 		return spec, nil
 	}
@@ -270,18 +243,6 @@ func Parse(s string) (*Spec, error) {
 					err = fmt.Errorf("sim: dropout depth %g dB must be positive", spec.DropoutDepthDB)
 				}
 			}
-		case "speed":
-			if err = atMost(1); err == nil {
-				spec.SpeedMPS, err = num(0)
-			}
-		case "mobile":
-			// A bare flag: reject values so "mobile=false" cannot
-			// silently enable it.
-			if val != "" {
-				err = fmt.Errorf("sim: mobile takes no argument")
-				break
-			}
-			spec.Mobile = true
 		default:
 			err = fmt.Errorf("sim: unknown scenario term %q", key)
 		}
@@ -320,12 +281,6 @@ func (s *Spec) String() string {
 			parts = append(parts, fmt.Sprintf("dropout=%g", s.DropoutProb))
 		}
 	}
-	if s.SpeedMPS != 0 {
-		parts = append(parts, fmt.Sprintf("speed=%g", s.SpeedMPS))
-	}
-	if s.Mobile {
-		parts = append(parts, "mobile")
-	}
 	if len(parts) == 0 {
 		return "clean"
 	}
@@ -333,33 +288,14 @@ func (s *Spec) String() string {
 }
 
 // Build composes the spec into a channel scenario for one link. The stage
-// order is the physical path: link budget (Gain, or Mobility for moving
-// endpoints), fading, oscillator CFO/drift (plus Doppler at speed), live
-// interference, then receiver noise.
+// order is the physical path: link budget (Gain at Link.RSSIdBm), fading,
+// oscillator CFO/drift, live interference, RX dropout, then receiver
+// noise.
 func (s *Spec) Build(link Link) (*channel.Scenario, error) {
 	if link.SampleRate <= 0 {
 		return nil, fmt.Errorf("sim: scenario link needs a sample rate")
 	}
-	carrier := link.CarrierHz
-	if carrier == 0 {
-		carrier = 915e6
-	}
-	var stages []channel.Stage
-
-	if s.SpeedMPS != 0 || s.Mobile {
-		model := link.PathModel
-		if model.FreqHz == 0 {
-			model = channel.LogDistance{FreqHz: carrier, Exponent: 2.9}
-		}
-		start := link.StartM
-		if start <= 0 {
-			start = 1
-		}
-		stages = append(stages, channel.NewMobility(model, link.TxPowerDBm,
-			link.TxGainDB, 0, start, s.SpeedMPS, link.SampleRate))
-	} else {
-		stages = append(stages, channel.NewGain(link.RSSIdBm))
-	}
+	stages := []channel.Stage{channel.NewGain(link.RSSIdBm)}
 
 	if s.FadingKind != "" {
 		k := 0.0
@@ -369,14 +305,14 @@ func (s *Spec) Build(link Link) (*channel.Scenario, error) {
 		if s.FadingTaps <= 1 {
 			stages = append(stages, channel.NewFlatFading(k))
 		} else {
-			taps := channel.ExponentialTaps(s.FadingTaps, s.FadingSpacing, s.FadingDecayDB)
+			const tapSpacing, decayDB = 1, 6
+			taps := channel.ExponentialTaps(s.FadingTaps, tapSpacing, decayDB)
 			stages = append(stages, channel.NewFading(taps, k))
 		}
 	}
 
-	cfo := s.CFOHz + DopplerHz(s.SpeedMPS, carrier)
-	if cfo != 0 || s.CFOJitterHz != 0 || s.DriftPPM != 0 {
-		stages = append(stages, channel.NewCFO(cfo, s.CFOJitterHz, s.DriftPPM, link.SampleRate))
+	if s.CFOHz != 0 || s.CFOJitterHz != 0 || s.DriftPPM != 0 {
+		stages = append(stages, channel.NewCFO(s.CFOHz, s.CFOJitterHz, s.DriftPPM, link.SampleRate))
 	}
 
 	if s.Interferer != "" {

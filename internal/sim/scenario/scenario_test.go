@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseFull(t *testing.T) {
-	spec, err := Parse("fading=rician:10:3,cfo=200,cfojitter=50,drift=20,interferer=lora:-110:25000,speed=30")
+	spec, err := Parse("fading=rician:10:3,cfo=200,cfojitter=50,drift=20,interferer=lora:-110:25000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +24,6 @@ func TestParseFull(t *testing.T) {
 	if spec.Interferer != "lora" || spec.InterfererDBm != -110 || spec.InterfererFreqHz != 25000 {
 		t.Errorf("interferer = %+v", spec)
 	}
-	if spec.SpeedMPS != 30 {
-		t.Errorf("speed = %v", spec.SpeedMPS)
-	}
 }
 
 // validScenarios and invalidScenarios seed TestParseErrors, the round
@@ -34,10 +31,9 @@ func TestParseFull(t *testing.T) {
 var validScenarios = []string{
 	"",
 	"clean",
-	"fading=rician:10:3,cfo=200,cfojitter=50,drift=20,interferer=lora:-110:25000,speed=30",
+	"fading=rician:10:3,cfo=200,cfojitter=50,drift=20,interferer=lora:-110:25000",
 	"fading=rayleigh:2,drift=5,interferer=ble:-95",
 	"fading=rician:12,cfojitter=50",
-	"fading=rayleigh:64,dropout=0.25:12,mobile",
 	"dropout=0:5",
 	"fading=rician:3:2,fading=rayleigh",
 }
@@ -49,12 +45,17 @@ var invalidScenarios = []string{
 	"cfo=abc",
 	"nonsense=1",
 	"fading=rician", // missing K
-	"mobile=false",  // bare flag: a value must not silently enable it
 	"cfo=200:50",    // trailing arguments must error, not drop
 	"fading=rayleigh:3:9",
 	"interferer=lora:-100:0:7",
-	"speed=30:60",
 	"clean,cfo=200", // clean is a whole spec, not a term
+	// Moving links come from testbed.Campus.LinkScenario; the grammar
+	// has no speed or mobile term.
+	"speed=30",
+	"speed=30:60",
+	"mobile",
+	"mobile=false",
+	"fading=rayleigh:64,dropout=0.25:12,mobile",
 	// Non-finite numbers.
 	"fading=rician:NaN",
 	"cfo=Inf",
@@ -209,23 +210,26 @@ func TestBuildComposesExpectedStages(t *testing.T) {
 	if got := sc.String(); got != want {
 		t.Errorf("composition = %q, want %q", got, want)
 	}
-	// Mobile link swaps Gain for Mobility and adds Doppler.
-	spec, _ = Parse("speed=30")
-	sc, err = spec.Build(Link{SampleRate: 125e3, FloorDBm: -116,
-		TxPowerDBm: 14, TxGainDB: 6, StartM: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sc.String(); !strings.HasPrefix(got, "mobility→cfo") {
-		t.Errorf("mobile composition = %q, want mobility→cfo→…", got)
-	}
 	if _, err := spec.Build(Link{}); err == nil {
 		t.Error("zero sample rate accepted")
 	}
-	// A bare "mobile" parses and swaps in the Mobility stage at speed 0.
-	spec, err = Parse("mobile")
-	if err != nil || !spec.Mobile {
-		t.Fatalf("bare mobile flag: spec=%+v err=%v", spec, err)
+}
+
+// TestBuildIsAStaticLink holds every accepted spec to a fixed received
+// power: the chain starts at the Gain stage and ends at receiver noise.
+func TestBuildIsAStaticLink(t *testing.T) {
+	for _, in := range validScenarios {
+		spec, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		sc, err := spec.Build(Link{SampleRate: 125e3, RSSIdBm: -110, FloorDBm: -117})
+		if err != nil {
+			t.Fatalf("Build(%q): %v", in, err)
+		}
+		if got := sc.String(); !strings.HasPrefix(got, "gain") || !strings.HasSuffix(got, "noise") {
+			t.Errorf("Build(%q) composes %q, want gain→…→noise", in, got)
+		}
 	}
 }
 
@@ -297,12 +301,6 @@ func TestScenarioEndToEndLoRaDecode(t *testing.T) {
 	// the large majority of packets intact.
 	if ok < packets*7/10 {
 		t.Errorf("only %d/%d packets decoded under mild composed scenario", ok, packets)
-	}
-}
-
-func TestDopplerSign(t *testing.T) {
-	if d := DopplerHz(30, 915e6); d >= 0 || math.Abs(d+91.6) > 1 {
-		t.Errorf("doppler at 30 m/s receding = %v Hz, want ≈-91.6", d)
 	}
 }
 

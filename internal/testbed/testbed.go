@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"github.com/uwsdr/tinysdr/internal/power"
 	"github.com/uwsdr/tinysdr/internal/radio"
 	"github.com/uwsdr/tinysdr/internal/sim"
-	"github.com/uwsdr/tinysdr/internal/sim/scenario"
 )
 
 // DefaultNodeCount matches the paper's deployment.
@@ -119,13 +117,14 @@ func (c *Campus) RSSI(n *Node) float64 {
 // LinkScenario returns the composable IQ-level downlink condition for one
 // node: a mobility stage solving path loss from the campus geometry (with
 // the campus shadowing model redrawn per trial), Doppler for an endpoint
-// moving radially at speedMPS, and receiver noise at floorDBm. Reset it
-// with (seed, trialIndex) before each packet; every worker needs its own
-// instance, like a demodulator.
+// moving radially at speedMPS, and receiver noise at floorDBm. It is the
+// one builder of moving links; the scenario grammar builds static ones.
+// Reset it with (seed, trialIndex) before each packet; every worker needs
+// its own instance, like a demodulator.
 func (c *Campus) LinkScenario(n *Node, speedMPS, sampleRate, floorDBm float64) *channel.Scenario {
 	mob := channel.NewMobility(c.Model, c.APTXPowerDBm, c.APAntennaGainDB, 0,
 		n.Distance(), speedMPS, sampleRate)
-	cfo := channel.NewCFO(scenario.DopplerHz(speedMPS, c.Model.FreqHz), 0, 0, sampleRate)
+	cfo := channel.NewCFO(channel.DopplerHz(speedMPS, c.Model.FreqHz), 0, 0, sampleRate)
 	return channel.NewScenario(mob, cfo, channel.NewNoise(floorDBm))
 }
 
@@ -147,11 +146,12 @@ type ProgramResult struct {
 // a sequential pass — the wall-clock time is what the §3.4 AP's sequential
 // schedule reports on each node's own clock, not the host's.
 func (c *Campus) ProgramAll(u *ota.Update, design *fpga.Design) []ProgramResult {
-	return c.ProgramAllWorkers(u, design, runtime.NumCPU())
+	return c.ProgramAllWorkers(u, design, 0)
 }
 
-// ProgramAllWorkers is ProgramAll with an explicit worker-pool size
-// (minimum 1). Results are identical for every value.
+// ProgramAllWorkers is ProgramAll with an explicit worker-pool size;
+// workers ≤ 0 means all CPUs (see par.Trials). Results are identical for
+// every value.
 func (c *Campus) ProgramAllWorkers(u *ota.Update, design *fpga.Design, workers int) []ProgramResult {
 	// Session failures are part of a node's result, not a pool error, so
 	// the par.Do error path never triggers.

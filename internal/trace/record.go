@@ -244,7 +244,7 @@ func replay(t *Trace, workers int) ([]packetResult, error) {
 		link *phy.Link
 		tap  *powerTap
 	}
-	return par.Trials(par.ResolveWorkers(workers), n,
+	return par.Trials(workers, n,
 		func() (*state, error) {
 			link, err := openReplay(t)
 			if err != nil {
