@@ -21,7 +21,7 @@ type LogDistance struct {
 // ReferenceLossDB returns free-space loss at 1 m for the carrier.
 func (m LogDistance) ReferenceLossDB() float64 {
 	// FSPL(d=1m) = 20 log10(4*pi*d*f/c)
-	return 20 * math.Log10(4*math.Pi*m.FreqHz/299792458.0)
+	return 20 * math.Log10(4*math.Pi*m.FreqHz/SpeedOfLight)
 }
 
 // PathLossDB returns the loss at distance d in meters, with deterministic

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,11 +11,16 @@ func quickCfg() Config { return Config{Quick: true, Seed: 1} }
 
 func runExp(t *testing.T, id string) *Result {
 	t.Helper()
+	return runExpCfg(t, id, quickCfg())
+}
+
+func runExpCfg(t *testing.T, id string, cfg Config) *Result {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	r, err := e.Run(quickCfg())
+	r, err := e.Run(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -127,48 +133,64 @@ func TestFig9PowerCurve(t *testing.T) {
 	}
 }
 
+// forEachBudget checks experiment id's quick metrics under the fixed
+// trial budgets and under sequential stopping, which tinysdr-eval runs
+// by default.
+func forEachBudget(t *testing.T, id string, check func(t *testing.T, m map[string]float64)) {
+	for _, adaptive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adaptive=%t", adaptive), func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Adaptive.Enabled = adaptive
+			check(t, runExpCfg(t, id, cfg).Metrics)
+		})
+	}
+}
+
 func TestFig10Sensitivity(t *testing.T) {
-	r := runExp(t, "fig10")
-	// Paper: -126 dBm at SF8/BW125; allow the quick-mode Monte Carlo ±2 dB.
-	if got := r.Metrics["sens_TinySDR_bw125_dBm"]; math.Abs(got-(-126)) > 2 {
-		t.Errorf("BW125 sensitivity = %.1f dBm, want -126 ±2", got)
-	}
-	// tinySDR within 1 dB of the SX1276-class transmitter.
-	d := r.Metrics["sens_TinySDR_bw125_dBm"] - r.Metrics["sens_SX1276_bw125_dBm"]
-	if math.Abs(d) > 1 {
-		t.Errorf("TinySDR vs SX1276 delta = %.2f dB, want < 1", d)
-	}
-	// BW250 is ~3 dB less sensitive.
-	d = r.Metrics["sens_TinySDR_bw250_dBm"] - r.Metrics["sens_TinySDR_bw125_dBm"]
-	if d < 1.5 || d > 4.5 {
-		t.Errorf("BW250-BW125 gap = %.1f dB, want ≈3", d)
-	}
+	forEachBudget(t, "fig10", func(t *testing.T, m map[string]float64) {
+		// Paper: -126 dBm at SF8/BW125; allow the quick-mode Monte Carlo ±2 dB.
+		if got := m["sens_TinySDR_bw125_dBm"]; math.Abs(got-(-126)) > 2 {
+			t.Errorf("BW125 sensitivity = %.1f dBm, want -126 ±2", got)
+		}
+		// tinySDR within 1 dB of the SX1276-class transmitter.
+		d := m["sens_TinySDR_bw125_dBm"] - m["sens_SX1276_bw125_dBm"]
+		if math.Abs(d) > 1 {
+			t.Errorf("TinySDR vs SX1276 delta = %.2f dB, want < 1", d)
+		}
+		// BW250 is ~3 dB less sensitive.
+		d = m["sens_TinySDR_bw250_dBm"] - m["sens_TinySDR_bw125_dBm"]
+		if d < 1.5 || d > 4.5 {
+			t.Errorf("BW250-BW125 gap = %.1f dB, want ≈3", d)
+		}
+	})
 }
 
 func TestFig11Sensitivity(t *testing.T) {
-	r := runExp(t, "fig11")
-	// Our full-precision FFT demodulator reaches 10% SER at the
-	// theoretical 256-ary noncoherent limit, 2-3 dB below the Semtech
-	// silicon's effective -126 dBm. Accept the band between theory and
-	// the datasheet point.
-	if got := r.Metrics["sens_bw125_dBm"]; got < -131 || got > -125 {
-		t.Errorf("demod sensitivity = %.1f dBm, want in [-131, -125]", got)
-	}
-	// BW250 tracks ~3 dB above BW125.
-	gap := r.Metrics["sens_bw250_dBm"] - r.Metrics["sens_bw125_dBm"]
-	if gap < 1.5 || gap > 4.5 {
-		t.Errorf("BW gap = %.1f dB, want ≈3", gap)
-	}
+	forEachBudget(t, "fig11", func(t *testing.T, m map[string]float64) {
+		// Our full-precision FFT demodulator reaches 10% SER at the
+		// theoretical 256-ary noncoherent limit, 2-3 dB below the Semtech
+		// silicon's effective -126 dBm. Accept the band between theory and
+		// the datasheet point.
+		if got := m["sens_bw125_dBm"]; got < -131 || got > -125 {
+			t.Errorf("demod sensitivity = %.1f dBm, want in [-131, -125]", got)
+		}
+		// BW250 tracks ~3 dB above BW125.
+		gap := m["sens_bw250_dBm"] - m["sens_bw125_dBm"]
+		if gap < 1.5 || gap > 4.5 {
+			t.Errorf("BW gap = %.1f dB, want ≈3", gap)
+		}
+	})
 }
 
 func TestFig12BLESensitivity(t *testing.T) {
-	r := runExp(t, "fig12")
-	if got := r.Metrics["sensitivity_dBm"]; math.Abs(got-(-94)) > 2.5 {
-		t.Errorf("BLE sensitivity = %.1f dBm, want -94 ±2.5", got)
-	}
-	if d := math.Abs(r.Metrics["cc2650_delta_dB"]); d > 4 {
-		t.Errorf("CC2650 delta = %.1f dB", d)
-	}
+	forEachBudget(t, "fig12", func(t *testing.T, m map[string]float64) {
+		if got := m["sensitivity_dBm"]; math.Abs(got-(-94)) > 2.5 {
+			t.Errorf("BLE sensitivity = %.1f dBm, want -94 ±2.5", got)
+		}
+		if d := math.Abs(m["cc2650_delta_dB"]); d > 4 {
+			t.Errorf("CC2650 delta = %.1f dB", d)
+		}
+	})
 }
 
 func TestFig13HopGap(t *testing.T) {

@@ -209,7 +209,6 @@ func All() []Experiment {
 		{"ablation-broadcast", "ablation: sequential vs broadcast fleet programming (§7)", AblationBroadcast},
 		{"fleetscale", "fleet-scale campaigns: broadcast vs unicast across N (§7 at scale)", FleetScale},
 		{"chaos", "chaos: completion and repair overhead vs fault intensity (-faults flag)", Chaos},
-		{"fleetcrash", "fleet crash harness: kill/restart the control plane at every journal append; campaigns must survive bit-identically", FleetCrash},
 		{"ablation-packet", "ablation: OTA packet-size trade-off (§5.3 design point)", AblationPacketSize},
 		{"ablation-compression", "ablation: miniLZO vs raw OTA transfer (§3.4)", AblationCompression},
 		{"ablation-blocksize", "ablation: compression block size vs MCU SRAM (§3.4)", AblationBlockSize},

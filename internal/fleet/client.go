@@ -192,7 +192,7 @@ func (c *Client) Nodes(ctx context.Context, id string) ([]NodeResult, error) {
 // WaitDone polls until the campaign reaches a terminal state (done,
 // failed, or canceled) and returns it. The poll rides the same retry
 // machinery as everything else, so it survives a control-plane restart
-// mid-campaign — exactly the soak the fleet-crash harness runs.
+// mid-campaign.
 func (c *Client) WaitDone(ctx context.Context, id string) (*Campaign, error) {
 	for {
 		camp, err := c.Get(ctx, id)

@@ -32,10 +32,11 @@ func serveOn(ln net.Listener, srv *Server) (stop func()) {
 }
 
 // TestClientSurvivesServerRestart is the client half of the crash story:
-// kill the control plane at a deterministic mid-campaign journal append,
-// restart it on the same address from the same state dir, and require the
-// client's create/wait/fetch sequence — started before the kill — to
-// complete with a Result byte-identical to a local run.
+// create a campaign on s1, take s1 down, and bring up on the same address a
+// server recovered from the first 3 records of s1's journal (a kill right
+// after the first shard-done) while the client is inside WaitDone. The
+// client's create/wait/fetch sequence must complete with a Result
+// byte-identical to a local run.
 func TestClientSurvivesServerRestart(t *testing.T) {
 	golden, err := Run(crashSpec)
 	if err != nil {
@@ -46,8 +47,6 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// Kill after the first shard-done record: mid-campaign, resumable.
-	s1.CrashAfterAppends(3)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -65,22 +64,22 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if _, err := cl.Create(ctx, "restart-soak", crashSpec); err != nil {
 		t.Fatalf("create: %v", err)
 	}
+	// s1 runs the campaign to the end unseen by the client; its journal,
+	// read before the drain, holds every append a kill could cut.
+	waitTerminal(t, s1, "restart-soak")
+	full := readJournal(t, dir)
+	stop1()
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 
-	// Wait for the armed crash, then restart on the same address while the
-	// client is mid-WaitDone.
+	// The address refuses connections until s2 serves on it.
 	waited := make(chan error, 1)
 	go func() {
 		_, err := cl.WaitDone(ctx, "restart-soak")
 		waited <- err
 	}()
-	select {
-	case <-s1.Crashed():
-	case <-ctx.Done():
-		t.Fatalf("crash point never fired")
-	}
-	stop1()
-
-	s2, err := OpenServer(dir)
+	s2, err := OpenServer(crashDir(t, full, 3))
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -242,23 +242,22 @@ func BenchmarkOpenDrain(b *testing.B) {
 	if err := s.Drain(ctx); err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(dir, JournalName)
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
+	clean := readJournal(b, dir)
 	if s, err = OpenServer(dir); err != nil {
 		b.Fatal(err)
 	}
-	s.CrashAfterAppends(5)
 	if _, _, err := s.CreateID("killed", benchSpec(2)); err != nil {
 		b.Fatal(err)
 	}
-	<-s.Crashed()
-	killed, err := os.ReadFile(path)
-	if err != nil {
+	if _, err := s.Wait(ctx, "killed"); err != nil {
 		b.Fatal(err)
 	}
+	full := readJournal(b, dir)
+	if err := s.Drain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	// The 48 campaigns' created and done records, then the 49th's five.
+	killed := readJournal(b, crashDir(b, full, 2*48+5))
 
 	for _, bc := range []struct {
 		name    string

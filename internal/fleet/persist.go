@@ -81,9 +81,9 @@ type errorRecord struct {
 type campaignState struct {
 	c    *Campaign
 	done chan struct{}
-	// userCtx is canceled by Cancel; runCtx additionally by drain or kill,
-	// so completion can tell a user cancellation (terminal, journaled)
-	// from a control-plane shutdown (campaign stays resumable).
+	// userCtx is canceled by Cancel; runCtx additionally by Drain, so
+	// completion can tell a user cancellation (terminal, journaled) from a
+	// control-plane shutdown (campaign stays resumable).
 	userCtx    context.Context
 	userCancel context.CancelFunc
 	runCtx     context.Context

@@ -2,10 +2,12 @@ package fleet
 
 // Durability tests for the journal-backed server: crash/recovery at every
 // journal-append boundary, resumable execution at the shard seam, drain
-// semantics, idempotent create, and ID allocation across restarts. The
-// governing invariant is TestResumeBitIdentical: however a campaign's
-// execution is interrupted, the recovered Result must be byte-identical to
-// an uninterrupted run of the same spec.
+// semantics, idempotent create, and ID allocation across restarts. A kill
+// leaves nothing but a prefix of the journal, so each crash point is a
+// state dir holding the first k records of an uninterrupted run's journal
+// (crashDir). The governing invariant is TestResumeBitIdentical: however a
+// campaign's execution is interrupted, the recovered Result must be
+// byte-identical to an uninterrupted run of the same spec.
 
 import (
 	"bytes"
@@ -38,7 +40,7 @@ func resultJSON(t *testing.T, res *Result) []byte {
 
 // waitTerminal waits for the campaign with a bounded context so a hung
 // recovery fails the test instead of timing it out.
-func waitTerminal(t *testing.T, s *Server, id string) *Campaign {
+func waitTerminal(t testing.TB, s *Server, id string) *Campaign {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -49,53 +51,36 @@ func waitTerminal(t *testing.T, s *Server, id string) *Campaign {
 	return c
 }
 
-// TestResumeBitIdentical is the durability gate: kill the server after
-// every possible journal append of a campaign's lifecycle, recover from
-// the journal, and require the resumed campaign's Result to be
-// byte-identical to an uninterrupted run. A recovered campaign must also
-// only re-execute shards the journal does not already hold.
+// TestResumeBitIdentical is the durability gate: recover from a kill after
+// every possible journal append of a campaign's lifecycle, and require the
+// resumed campaign's Result to be byte-identical to an uninterrupted run.
+// A recovered campaign must also only re-execute shards the journal does
+// not already hold.
 func TestResumeBitIdentical(t *testing.T) {
 	golden, err := Run(crashSpec)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
 	goldenJSON := resultJSON(t, golden)
-	drained := drainedJournal(t, t.TempDir())
+	ids, full, drained := runJournal(t, t.TempDir(), crashSpec)
 
 	// 5 total appends; crashing after the 5th is a completed campaign.
 	for crashAt := 1; crashAt <= 5; crashAt++ {
 		t.Run(fmt.Sprintf("crash-after-append-%d", crashAt), func(t *testing.T) {
-			dir := t.TempDir()
-			s1, err := OpenServer(dir)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			s1.CrashAfterAppends(crashAt)
-			c, err := s1.Create(crashSpec)
-			if err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			select {
-			case <-s1.Crashed():
-			case <-time.After(time.Minute):
-				t.Fatalf("crash point %d never fired", crashAt)
-			}
-			// The killed server's runner may still be unwinding; recovery
-			// must not depend on it. Reopen the state dir as a new process
-			// would.
-			s2, err := OpenServer(dir)
+			dir := crashDir(t, full, crashAt)
+			s, err := OpenServer(dir)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
-			defer s2.Drain(context.Background())
-			got, ok := s2.Get(c.ID)
+			defer s.Drain(context.Background())
+			got, ok := s.Get(ids[0])
 			if !ok {
-				t.Fatalf("campaign %s lost across the crash", c.ID)
+				t.Fatalf("campaign %s lost across the crash", ids[0])
 			}
 			if crashAt == 5 && got.Status != StatusDone {
 				t.Fatalf("fully journaled campaign recovered as %s, want %s", got.Status, StatusDone)
 			}
-			fin := waitTerminal(t, s2, c.ID)
+			fin := waitTerminal(t, s, ids[0])
 			if fin.Status != StatusDone {
 				t.Fatalf("recovered campaign ended %s (%s), want %s", fin.Status, fin.Error, StatusDone)
 			}
@@ -104,7 +89,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 			// The resumed run appended records, so the drain must compact
 			// them to what an uninterrupted run's drain leaves.
-			if err := s2.Drain(context.Background()); err != nil {
+			if err := s.Drain(context.Background()); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
 			if got := readJournal(t, dir); !bytes.Equal(got, drained) {
@@ -114,31 +99,122 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// drainedJournal runs crashSpec to the end on a journal-backed server in
-// the empty state dir dir, drains it, and returns the journal it leaves:
-// created + done.
-func drainedJournal(t *testing.T, dir string) []byte {
-	t.Helper()
-	s, err := OpenServer(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+// TestCrashMidStreamRecoversEveryCampaign crashes a server running several
+// campaigns at once. Every prefix of a three-campaign journal is a state a
+// kill can leave, with campaigns done, running and still queued; each
+// campaign the prefix created must finish done, byte-equal to its own
+// uninterrupted run.
+func TestCrashMidStreamRecoversEveryCampaign(t *testing.T) {
+	specs := []Spec{crashSpec, crashSpec, crashSpec}
+	for i := range specs {
+		specs[i].Seed += int64(i)
 	}
-	c, err := s.Create(crashSpec)
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	ids, full, _ := runJournal(t, t.TempDir(), specs...)
+	golden := make(map[string][]byte, len(ids))
+	for i, id := range ids {
+		res, err := Run(specs[i])
+		if err != nil {
+			t.Fatalf("golden run of %s: %v", id, err)
+		}
+		golden[id] = resultJSON(t, res)
 	}
-	waitTerminal(t, s, c.ID)
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	return readJournal(t, dir)
-}
-
-func readJournal(t *testing.T, dir string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	recs, _, err := journal.Parse(full)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(recs) != 5*len(specs) {
+		t.Fatalf("uninterrupted journal holds %d records, want %d", len(recs), 5*len(specs))
+	}
+
+	for crashAt := 1; crashAt <= len(recs); crashAt++ {
+		t.Run(fmt.Sprintf("crash-after-append-%d", crashAt), func(t *testing.T) {
+			created := 0
+			for _, r := range recs[:crashAt] {
+				if r.Type == recCreated {
+					created++
+				}
+			}
+			s, err := OpenServer(crashDir(t, full, crashAt))
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			defer s.Drain(context.Background())
+			recovered := s.List()
+			if len(recovered) != created {
+				t.Fatalf("recovered %d campaigns, the journal prefix created %d", len(recovered), created)
+			}
+			for _, c := range recovered {
+				fin := waitTerminal(t, s, c.ID)
+				if fin.Status != StatusDone {
+					t.Errorf("campaign %s ended %s (%s), want %s", c.ID, fin.Status, fin.Error, StatusDone)
+					continue
+				}
+				if !bytes.Equal(resultJSON(t, fin.Result), golden[c.ID]) {
+					t.Errorf("campaign %s: recovered result differs from its uninterrupted run", c.ID)
+				}
+			}
+		})
+	}
+}
+
+// runJournal creates every spec on a journal-backed server in the empty
+// state dir dir, in order and before any has finished, and runs them to
+// the end. It returns the campaign IDs in creation order, the journal as
+// the run left it — read before the drain, so it holds every append — and
+// the journal the drain leaves, created + terminal for each campaign.
+func runJournal(tb testing.TB, dir string, specs ...Spec) (ids []string, full, drained []byte) {
+	tb.Helper()
+	s, err := OpenServer(dir)
+	if err != nil {
+		tb.Fatalf("open: %v", err)
+	}
+	for _, spec := range specs {
+		c, _, err := s.CreateID("", spec)
+		if err != nil {
+			tb.Fatalf("create: %v", err)
+		}
+		ids = append(ids, c.ID)
+	}
+	for _, id := range ids {
+		waitTerminal(tb, s, id)
+	}
+	full = readJournal(tb, dir)
+	if err := s.Drain(context.Background()); err != nil {
+		tb.Fatalf("drain: %v", err)
+	}
+	return ids, full, readJournal(tb, dir)
+}
+
+// crashDir returns a fresh state dir whose journal is journal.Header()
+// plus the first k frames of full: exactly what a kill right after the
+// k-th append of the run that wrote full leaves on disk.
+func crashDir(tb testing.TB, full []byte, k int) string {
+	tb.Helper()
+	recs, _, err := journal.Parse(full)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if k > len(recs) {
+		tb.Fatalf("crash point %d past the journal's %d records", k, len(recs))
+	}
+	prefix := journal.Header()
+	for _, r := range recs[:k] {
+		if prefix, err = journal.AppendFrame(prefix, r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	dir := tb.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, JournalName), prefix, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+func readJournal(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return data
 }
@@ -147,31 +223,21 @@ func readJournal(t *testing.T, dir string) []byte {
 // recovered with journaled shards must keep those exact results (the
 // journal is the authority, not a re-execution).
 func TestRecoverResumesOnlyMissingShards(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := OpenServer(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	// Kill after the first shard-done record (created, started, shard).
-	s1.CrashAfterAppends(3)
-	c, err := s1.Create(crashSpec)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	<-s1.Crashed()
-
-	s2, err := OpenServer(dir)
+	ids, full, _ := runJournal(t, t.TempDir(), crashSpec)
+	// Killed after the first shard-done record (created, started, shard).
+	dir := crashDir(t, full, 3)
+	s, err := OpenServer(dir)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	defer s2.Drain(context.Background())
-	fin := waitTerminal(t, s2, c.ID)
+	defer s.Drain(context.Background())
+	fin := waitTerminal(t, s, ids[0])
 	if fin.Status != StatusDone {
 		t.Fatalf("recovered campaign ended %s, want done", fin.Status)
 	}
 	// Drain compacts; the compacted journal of a done campaign is exactly
 	// created + done — the shard-done records were consumed by the merge.
-	if err := s2.Drain(context.Background()); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	j, recs, err := journal.Open(filepath.Join(dir, JournalName))
@@ -197,7 +263,7 @@ func TestIDAllocationSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	c1, err := s1.Create(crashSpec)
+	c1, _, err := s1.CreateID("", crashSpec)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -219,7 +285,7 @@ func TestIDAllocationSurvivesRestart(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Drain(context.Background())
-	c3, err := s2.Create(crashSpec)
+	c3, _, err := s2.CreateID("", crashSpec)
 	if err != nil {
 		t.Fatalf("create after restart: %v", err)
 	}
@@ -291,13 +357,13 @@ func TestDrainStopsAdmitting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, err := s.Create(crashSpec); err != nil {
+	if _, _, err := s.CreateID("", crashSpec); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if _, err := s.Create(crashSpec); !errors.Is(err, ErrDraining) {
+	if _, _, err := s.CreateID("", crashSpec); !errors.Is(err, ErrDraining) {
 		t.Fatalf("create on drained server: %v, want ErrDraining", err)
 	}
 	// Idempotent.
@@ -329,7 +395,7 @@ func TestDrainCutsAtShardBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	c, err := s1.Create(golden.Spec)
+	c, _, err := s1.CreateID("", golden.Spec)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -368,11 +434,11 @@ func TestCancelJournaledTerminal(t *testing.T) {
 	}
 	// Queue two campaigns; the second waits on the run slot, so canceling
 	// it exercises the canceled-while-pending path deterministically.
-	a, err := s1.Create(crashSpec)
+	a, _, err := s1.CreateID("", crashSpec)
 	if err != nil {
 		t.Fatalf("create a: %v", err)
 	}
-	b, err := s1.Create(Spec{Seed: 13, Nodes: 2000, ShardSize: 20})
+	b, _, err := s1.CreateID("", Spec{Seed: 13, Nodes: 2000, ShardSize: 20})
 	if err != nil {
 		t.Fatalf("create b: %v", err)
 	}
@@ -499,7 +565,7 @@ func TestOpenServerRejectsCorruptJournal(t *testing.T) {
 // open/drain cycle. The hard link holds the original inode, so a rewrite
 // through tmp+rename cannot reuse its number and pass as the same file.
 func TestCompactionCanonical(t *testing.T) {
-	want := drainedJournal(t, t.TempDir())
+	_, full, want := runJournal(t, t.TempDir(), crashSpec)
 	cases := []struct {
 		name string
 		// killed: the server died right after the done record, leaving
@@ -520,19 +586,12 @@ func TestCompactionCanonical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+			var dir string
 			if tc.killed {
-				s1, err := OpenServer(dir)
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				s1.CrashAfterAppends(5)
-				if _, err := s1.Create(crashSpec); err != nil {
-					t.Fatalf("create: %v", err)
-				}
-				<-s1.Crashed()
+				dir = crashDir(t, full, 5)
 			} else {
-				drainedJournal(t, dir)
+				dir = t.TempDir()
+				runJournal(t, dir, crashSpec)
 			}
 			path := filepath.Join(dir, JournalName)
 			if tc.indent {
@@ -616,7 +675,7 @@ func TestDrainAfterAbandonedDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	c, err := s.Create(Spec{Seed: 17, Nodes: 2000, ShardSize: 20, Mode: ModeBroadcast})
+	c, _, err := s.CreateID("", Spec{Seed: 17, Nodes: 2000, ShardSize: 20, Mode: ModeBroadcast})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}

@@ -63,10 +63,6 @@ var (
 	// ErrSpecConflict rejects an idempotent create whose client-supplied
 	// ID already names a campaign with a different spec.
 	ErrSpecConflict = errors.New("fleet: campaign id already exists with a different spec")
-
-	// errKilled aborts in-flight work after a (simulated) control-plane
-	// kill; nothing observes it because the process is considered dead.
-	errKilled = errors.New("fleet: server killed")
 )
 
 // Server schedules campaigns and serves their state over a JSON API. The
@@ -82,19 +78,13 @@ type Server struct {
 	// state moves (see persist.go).
 	j *journal.Journal
 	// draining stops admissions; drained marks a drain that finished (the
-	// journal closed); killed simulates SIGKILL (journal closed abruptly,
-	// no further transitions journaled or applied).
+	// journal closed).
 	draining bool
 	drained  bool
-	killed   bool
 	// dirty records that a record was appended, or an append attempted,
 	// since OpenServer left the journal equal to its compaction; Drain
 	// compacts only then.
 	dirty bool
-	// crashAfter counts journal appends until a simulated kill fires; 0
-	// disables. crashed closes when a kill (real or simulated) happens.
-	crashAfter int
-	crashed    chan struct{}
 	// wg tracks campaign runner goroutines so Drain can wait them out.
 	wg sync.WaitGroup
 	// runSlot serializes campaign execution: each campaign already fans
@@ -108,7 +98,6 @@ type Server struct {
 func NewServer() *Server {
 	return &Server{
 		states:  make(map[string]*campaignState),
-		crashed: make(chan struct{}),
 		runSlot: make(chan struct{}, 1),
 	}
 }
@@ -194,15 +183,10 @@ func summary(c *Campaign) *Campaign {
 	return &cp
 }
 
-// appendLocked journals one record, honoring the kill switches: a killed
-// server appends nothing and reports errKilled so callers stop. Fires the
-// simulated-crash countdown armed by CrashAfterAppends.
+// appendLocked journals one record; an in-memory server journals nothing.
 func (s *Server) appendLocked(typ uint8, v any) error {
 	if s.j == nil {
 		return nil
-	}
-	if s.killed {
-		return errKilled
 	}
 	// Before the write: a failed append may leave a partial frame, and
 	// callers may have moved the in-memory state already.
@@ -211,16 +195,7 @@ func (s *Server) appendLocked(typ uint8, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := s.j.Append(rec); err != nil {
-		return err
-	}
-	if s.crashAfter > 0 {
-		s.crashAfter--
-		if s.crashAfter == 0 {
-			s.killLocked()
-		}
-	}
-	return nil
+	return s.j.Append(rec)
 }
 
 // validateCampaignID bounds client-supplied campaign IDs: they travel in
@@ -240,19 +215,13 @@ func validateCampaignID(id string) error {
 	return nil
 }
 
-// Create validates the spec, registers a campaign under a server-assigned
-// ID, and starts it on a background goroutine. The returned snapshot is
-// StatusPending or later.
-func (s *Server) Create(spec Spec) (*Campaign, error) {
-	c, _, err := s.CreateID("", spec)
-	return c, err
-}
-
-// CreateID is Create with an optional client-supplied campaign ID — the
+// CreateID validates the spec, registers a campaign, and starts it on a
+// background goroutine; the returned snapshot is StatusPending or later.
+// An empty id asks the server to allocate one. A client-supplied id is the
 // idempotency key of the retrying fleet.Client: re-sending a create with
 // the same ID and spec returns the existing campaign (created=false)
 // instead of scheduling a duplicate, and the same ID with a different spec
-// is ErrSpecConflict. An empty id asks the server to allocate one.
+// is ErrSpecConflict.
 func (s *Server) CreateID(id string, spec Spec) (c *Campaign, created bool, err error) {
 	norm, err := spec.normalize()
 	if err != nil {
@@ -264,7 +233,7 @@ func (s *Server) CreateID(id string, spec Spec) (c *Campaign, created bool, err 
 		}
 	}
 	s.mu.Lock()
-	if s.draining || s.killed {
+	if s.draining {
 		s.mu.Unlock()
 		return nil, false, ErrDraining
 	}
@@ -318,8 +287,8 @@ func (s *Server) run(cs *campaignState) {
 	defer s.wg.Done()
 	defer close(cs.done)
 
-	// Wait for the run slot, bailing if the campaign is canceled, drained,
-	// or killed while still queued.
+	// Wait for the run slot, bailing if the campaign is canceled or drained
+	// while still queued.
 	select {
 	case s.runSlot <- struct{}{}:
 		defer func() { <-s.runSlot }()
@@ -337,8 +306,8 @@ func (s *Server) run(cs *campaignState) {
 			// still-pending campaign — safe, it just runs again.
 			_ = s.appendLocked(recCanceled, errorRecord{ID: cs.c.ID, Error: cs.c.Error})
 		}
-		// Drained or killed while pending: stays pending in the journal
-		// and re-enqueues on the next OpenServer.
+		// Drained while pending: stays pending in the journal and
+		// re-enqueues on the next OpenServer.
 		s.mu.Unlock()
 		return
 	}
@@ -374,9 +343,6 @@ func (s *Server) run(cs *campaignState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case s.killed:
-		// Simulated dead process: no further transitions. The journal
-		// holds created/started/shard-done records; restart resumes.
 	case jerr != nil && cs.userCtx.Err() != nil:
 		cs.c.Status = StatusCanceled
 		cs.c.Error = jerr.Error()
@@ -392,10 +358,6 @@ func (s *Server) run(cs *campaignState) {
 		_ = s.appendLocked(recFailed, errorRecord{ID: id, Error: cs.c.Error})
 	default:
 		if err := s.appendLocked(recDone, doneRecord{ID: id, Result: res}); err != nil {
-			if s.killed {
-				// The kill landed on this very append; treat as crashed.
-				return
-			}
 			cs.c.Status = StatusFailed
 			cs.c.Error = err.Error()
 			cs.shards = nil
@@ -435,8 +397,8 @@ func (s *Server) Get(id string) (*Campaign, bool) {
 
 // Wait blocks until the campaign reaches a terminal state and returns it,
 // or until ctx is done (returning the context's error), so API callers can
-// bound how long they block on a queued or slow campaign. On a draining or
-// killed server Wait returns once the campaign settles, which may leave it
+// bound how long they block on a queued or slow campaign. On a draining
+// server Wait returns once the campaign settles, which may leave it
 // non-terminal (resumable after restart).
 func (s *Server) Wait(ctx context.Context, id string) (*Campaign, error) {
 	s.mu.Lock()
@@ -471,18 +433,17 @@ func (s *Server) List() []*Campaign {
 }
 
 // Drain gracefully shuts the control plane down: stop admitting campaigns
-// (Create returns ErrDraining), interrupt running campaigns at their next
+// (CreateID returns ErrDraining), interrupt running campaigns at their next
 // shard boundary — completed shards stay journaled, the campaign stays
 // resumable — wait for every runner to settle, then close the journal,
 // compacting it first if a record was appended (or an append attempted)
 // since OpenServer. ctx bounds the wait; an expired ctx abandons the
 // drain, leaving runners settling and the journal open (consistent, just
-// uncompacted — exactly what a kill would leave), and a repeated Drain
-// waits and finishes it. Drain is a no-op after a completed drain and on
-// a killed server.
+// uncompacted, as a kill -9 leaves it), and a repeated Drain waits and
+// finishes it. Drain is a no-op after a completed drain.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if s.drained || s.killed {
+	if s.drained {
 		s.mu.Unlock()
 		return nil
 	}
@@ -505,7 +466,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.drained || s.killed {
+	if s.drained {
 		return nil
 	}
 	if s.dirty {
@@ -523,41 +484,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	return s.j.Close()
 }
-
-// killLocked is the simulated SIGKILL: the journal closes abruptly exactly
-// where it is, every runner's context is cut, and no further state
-// transition is journaled or applied — the process is considered dead.
-func (s *Server) killLocked() {
-	if s.killed {
-		return
-	}
-	s.killed = true
-	for _, id := range s.order {
-		s.states[id].runCancel()
-	}
-	if s.j != nil {
-		s.j.Close()
-	}
-	close(s.crashed)
-}
-
-// CrashAfterAppends arms the deterministic crash point of the fleetcrash
-// chaos harness: the server kills itself immediately after the n-th
-// journal record append from now. Arm it before creating campaigns; n <= 0
-// disarms.
-func (s *Server) CrashAfterAppends(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		s.crashAfter = 0
-		return
-	}
-	s.crashAfter = n
-}
-
-// Crashed closes when the server kills itself (an armed CrashAfterAppends
-// firing) — the chaos harness's signal to "restart".
-func (s *Server) Crashed() <-chan struct{} { return s.crashed }
 
 // Handler returns the JSON API:
 //

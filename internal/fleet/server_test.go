@@ -276,7 +276,7 @@ func TestHTTPCancelUnknownCampaign(t *testing.T) {
 
 func TestCancelAfterDoneLeavesResult(t *testing.T) {
 	srv := NewServer()
-	c, err := srv.Create(Spec{Seed: 3, Nodes: 4, ShardSize: 4, ImageKB: 8, Workers: 1})
+	c, _, err := srv.CreateID("", Spec{Seed: 3, Nodes: 4, ShardSize: 4, ImageKB: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +295,11 @@ func TestCancelAfterDoneLeavesResult(t *testing.T) {
 func TestWaitHonorsContext(t *testing.T) {
 	srv := NewServer()
 	// Hold the run slot so the waited-on campaign never finishes.
-	blocker, err := srv.Create(Spec{Seed: 4, Nodes: 400, Mode: ModeBroadcast, ImageKB: 8})
+	blocker, _, err := srv.CreateID("", Spec{Seed: 4, Nodes: 400, Mode: ModeBroadcast, ImageKB: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := srv.Create(Spec{Seed: 5, Nodes: 400, Mode: ModeBroadcast, ImageKB: 8})
+	queued, _, err := srv.CreateID("", Spec{Seed: 5, Nodes: 400, Mode: ModeBroadcast, ImageKB: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestServerConcurrentCancelStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := srv.Create(Spec{Seed: int64(i), Nodes: 8, ShardSize: 4, ImageKB: 4, Workers: 1})
+			c, _, err := srv.CreateID("", Spec{Seed: int64(i), Nodes: 8, ShardSize: 4, ImageKB: 4, Workers: 1})
 			if err != nil {
 				t.Error(err)
 				return
